@@ -27,6 +27,9 @@ from .numerics import Tolerance, find_root, integrate
 #: Empirical coefficient of the sharp-peak bandwidth estimate, W ~ C U/b^4.
 BANDWIDTH_COEFFICIENT = 4.7
 
+#: Default quadrature tolerance of :func:`flux_report`.
+FLUX_TOLERANCE = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
+
 
 @dataclass(frozen=True)
 class BandReport:
@@ -207,7 +210,8 @@ def flux_report(
     """Flux through the gate for momenta distributed as ``dist`` up to k_F.
 
     Quadrature splits at sqrt(U) (and sqrt(V) when V > 0), where the
-    transmission has kinks. For the flat filter with a constant
+    transmission has square-root cusps, and at the knots of a tabulated
+    density, where it has kinks. For the flat filter with a constant
     distribution the below-threshold part is exactly rho*U/8 whenever
     k_F >= sqrt(U).
     """
@@ -215,7 +219,7 @@ def flux_report(
         raise ValueError("k_F must be positive")
     if g.U > 0 and np.sqrt(g.U) >= k_F:
         raise ValueError("working range sqrt(U) must stay below k_F")
-    tol = tol or Tolerance(abs_tol=1e-12, rel_tol=1e-10)
+    tol = tol or FLUX_TOLERANCE
     p_of_k = _transmission_fn(g)
 
     def integrand(k: float) -> float:
@@ -224,7 +228,7 @@ def flux_report(
         return dist.density(k) * k * p_of_k(float(k))
 
     k_th = float(np.sqrt(g.U))
-    cuts = [c for c in (np.sqrt(g.V), k_th) if 0.0 < c < k_F]
+    cuts = [c for c in (np.sqrt(g.V), k_th, *dist.knots) if 0.0 < c < k_F]
     if g.U == 0.0:
         below = 0.0
         above = integrate(integrand, 0.0, k_F, tol=tol, breakpoints=cuts)

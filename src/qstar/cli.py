@@ -218,7 +218,10 @@ def _cmd_report_flux(args) -> int:
         "J": rep.total,
         "below_threshold_part": rep.below_threshold,
         "above_threshold_part": rep.above_threshold,
-        "tolerances": {"quadrature_abs": 1e-12, "quadrature_rel": 1e-10},
+        "tolerances": {
+            "quadrature_abs": analysis.FLUX_TOLERANCE.abs_tol,
+            "quadrature_rel": analysis.FLUX_TOLERANCE.rel_tol,
+        },
     }
     if args.U_grid:
         us = [float(u) for u in args.U_grid.split(",")]

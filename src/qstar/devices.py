@@ -16,6 +16,7 @@ step-function cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,13 @@ class GateN4:
 
     def boundary_condition(self) -> BoundaryCondition:
         return make_st_form(4, 2, [[self.a, self.a], [self.a, -self.a]])
+
+    @cached_property
+    def _band_setup(self) -> tuple[BoundaryCondition, tuple[float, float]]:
+        """Boundary condition and thresholds of the band mode, built once
+        per gate because a band-mode flux report evaluates one momentum per
+        call of :func:`band_filter_transmission`."""
+        return self.boundary_condition(), (np.sqrt(self.U), np.sqrt(self.V))
 
     def channels(self, k: float) -> ChannelSet:
         return ChannelSet.at_momentum((0.0, 0.0, self.U, self.V), k)
@@ -222,8 +230,7 @@ def band_filter_transmission(g: GateN4, k):
     """
     if not 0 <= g.V < g.U:
         raise InvalidBandError(f"need 0 <= V < U, got V={g.V!r}, U={g.U!r}")
-    bc = g.boundary_condition()
-    thresholds = (np.sqrt(g.U), np.sqrt(g.V))
+    bc, thresholds = g._band_setup
     k_arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
     out = np.empty_like(k_arr)
     for idx, kk in enumerate(k_arr):
@@ -234,6 +241,9 @@ def band_filter_transmission(g: GateN4, k):
 
 class MomentumDistribution:
     """Nonnegative density of incoming momenta, rho(k)."""
+
+    #: Momenta where the density has kinks (the knots of a table).
+    knots: tuple[float, ...] = ()
 
     def __init__(self, density_fn, label: str):
         self._density = density_fn
@@ -260,7 +270,9 @@ class MomentumDistribution:
         def interp(k, ks=ks, vals=vals):
             return float(np.interp(k, ks, vals))
 
-        return cls(interp, "tabulated")
+        dist = cls(interp, "tabulated")
+        dist.knots = tuple(ks.tolist())
+        return dist
 
     def density(self, k: float) -> float:
         return float(self._density(k))

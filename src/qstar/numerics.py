@@ -1,5 +1,6 @@
-"""Numerical kernels: small dense complex solves, adaptive quadrature with
-breakpoints, and bracketed root finding.
+"""Numerical kernels: small dense complex solves, adaptive Gauss-Kronrod
+quadrature that splits at breakpoints and maps out square-root cusps at
+them, and bracketed root finding.
 
 The linear solver dispatches to a compiled extension when it is installed;
 set ``QSTAR_PURE_PYTHON=1`` to force the pure-Python backend.
@@ -75,32 +76,42 @@ def solve_linear(a, b) -> np.ndarray:
     return b[:, 0] if vector else b
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return (h / 6.0) * (fa + 4.0 * fm + fb)
-
-
-def _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, eps, depth) -> float:
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    # Second test: the interval is at the floating-point resolution limit
-    # (an integrand corner can sit within one ulp of a panel edge, where
-    # further bisection cannot separate it).
-    if abs(delta) <= 15.0 * eps or (b - a) <= 64.0 * np.finfo(float).eps * max(
-        abs(a), abs(b), 1.0
-    ):
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise NoConvergenceError(
-            f"quadrature depth limit reached on [{a!r}, {b!r}]"
-        )
-    return _adaptive_simpson(
-        f, a, fa, m, fm, lm, flm, left, 0.5 * eps, depth - 1
-    ) + _adaptive_simpson(f, m, fm, b, fb, rm, frm, right, 0.5 * eps, depth - 1)
+# Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15; Piessens et al., 1983):
+# the nonnegative Kronrod nodes x_0 > x_1 > ... > x_7 = 0 with their weights,
+# and the weights of the 7-point Gauss rule, whose nodes are x_1, x_3, x_5
+# and x_7.
+_XK = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+])
+# The same rules over all 15 nodes in ascending order; the Gauss weight is
+# zero at the eight Kronrod-only nodes.
+_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
+_KRONROD = np.concatenate([_WK[:-1], _WK[::-1]])
+_GAUSS = np.zeros(15)
+_GAUSS[1::2] = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
 def integrate(
@@ -111,46 +122,66 @@ def integrate(
     breakpoints: Iterable[float] = (),
     max_depth: int = 48,
 ) -> float:
-    """Adaptive Simpson quadrature of ``f`` over ``[lo, hi]``.
+    """Adaptive Gauss-Kronrod 7/15 quadrature of ``f`` over ``[lo, hi]``.
 
     ``breakpoints`` lists interior abscissae where the integrand has a kink
-    (e.g. a channel threshold); the interval is split there so each panel
-    sees a smooth function. Panel-edge samples are taken one ulp inside the
-    panel, so breakpoint and bound values always come from the correct
-    branch of a piecewise integrand. Error target is
-    ``max(abs_tol, rel_tol * |integral|)``, distributed over panels by
-    length. Raises NoConvergenceError past ``max_depth`` bisections.
+    or a square-root cusp (e.g. a channel threshold). The interval is split
+    there, each piece is halved, and each half is mapped by
+    ``x = end +- t^2`` from its outer end, so that a square-root cusp or a
+    kink at a cut or a bound is smooth in ``t``. ``f`` is called with one
+    float at a time, never at a cut or a bound. Every kink or jump must be
+    listed: one that falls between a panel's outermost nodes and its edge
+    is invisible to the rule.
+
+    The error of a panel is estimated as ``|K15 - G7|``. Each panel's share
+    of the target ``max(abs_tol, rel_tol * |integral|)`` is its fraction of
+    ``hi - lo`` (a bisected panel passes half its share to each child), so
+    the shares sum to the target; panels that miss their share are bisected.
+    A panel that spans only a few ulps in ``x`` is accepted, because
+    bisection cannot resolve anything inside it. Raises NoConvergenceError
+    when a panel still misses its share after ``max_depth`` bisections.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
     tol = tol or Tolerance()
     cuts = sorted({float(p) for p in breakpoints if lo < p < hi})
-    edges = [lo, *cuts, hi]
-    panels = list(zip(edges[:-1], edges[1:]))
-
-    # Coarse composite pass fixes the scale for the relative tolerance.
-    rough = 0.0
-    for a, b in panels:
-        xs = np.linspace(a, b, 17)
-        xs[0] = np.nextafter(a, b)
-        xs[-1] = np.nextafter(b, a)
-        fx = np.array([f(x) for x in xs])
-        rough += (b - a) / 48.0 * np.sum(fx[:-2:2] + 4.0 * fx[1::2] + fx[2::2])
-    eps = max(tol.abs_tol, tol.rel_tol * abs(rough))
-    if eps == 0.0:
-        eps = np.finfo(float).eps
+    edges = np.array([lo, *cuts, hi], dtype=np.float64)
+    halves = 0.5 * np.diff(edges)
+    # Active panels [t0, t1] in the variable of the half they belong to,
+    # mapped by x = end + sign * t^2 (two halves per piece).
+    end = np.stack([edges[:-1], edges[1:]], axis=1).ravel()
+    sign = np.tile([1.0, -1.0], halves.size)
+    t0 = np.zeros(end.size)
+    t1 = np.repeat(np.sqrt(halves), 2)
+    share = np.repeat(halves / (hi - lo), 2)
 
     total = 0.0
-    span = hi - lo
-    for a, b in panels:
-        fa, fb = f(np.nextafter(a, b)), f(np.nextafter(b, a))
-        m = 0.5 * (a + b)
-        fm = f(m)
-        whole = _simpson(fa, fm, fb, b - a)
-        total += _adaptive_simpson(
-            f, a, fa, b, fb, m, fm, whole, eps * (b - a) / span, max_depth
+    for depth in range(max_depth + 1):
+        centre, radius = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+        t = centre[:, None] + radius[:, None] * _NODES
+        x = end[:, None] + sign[:, None] * t * t
+        fx = np.array([f(xi) for xi in x.ravel().tolist()], dtype=np.float64)
+        g = 2.0 * t * fx.reshape(x.shape)  # dx = 2t dt
+        kronrod = radius * (g @ _KRONROD)
+        error = np.abs(kronrod - radius * (g @ _GAUSS))
+        target = max(tol.abs_tol, tol.rel_tol * abs(total + kronrod.sum()))
+        ulps = 64.0 * np.finfo(float).eps * np.maximum(np.abs(end), 1.0)
+        done = (error <= share * target) | (t1 * t1 - t0 * t0 <= ulps)
+        total += float(kronrod[done].sum())
+        if done.all():
+            return total
+        if depth == max_depth:
+            break
+        keep = ~done
+        end, sign = np.repeat(end[keep], 2), np.repeat(sign[keep], 2)
+        share = np.repeat(0.5 * share[keep], 2)
+        t0, t1 = (
+            np.stack([t0[keep], centre[keep]], axis=1).ravel(),
+            np.stack([centre[keep], t1[keep]], axis=1).ravel(),
         )
-    return total
+    i = int(np.flatnonzero(~done)[0])
+    xa, xb = sorted(float(end[i] + sign[i] * t * t) for t in (t0[i], t1[i]))
+    raise NoConvergenceError(f"quadrature depth limit reached on [{xa!r}, {xb!r}]")
 
 
 def find_root(

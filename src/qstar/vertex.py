@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
+from .exceptions import DimensionMismatchError, SingularMatrixError
 
 #: Couplings whose S-matrix at two well-separated momenta (all potentials
 #: zero) differs by less than this are reported scale-invariant.
@@ -146,7 +146,7 @@ def validate(bc: BoundaryCondition) -> VertexDiagnostics:
                 scale_invariant = bool(
                     np.abs(s1.S - s2.S).max() < SCALE_INVARIANCE_TOL
                 )
-            except Exception:
+            except SingularMatrixError:
                 scale_invariant = False
     return VertexDiagnostics(
         rank=rank,

@@ -244,15 +244,11 @@ GOLDEN_SWEEPS = {
 
 
 def test_criterion_10_golden_sweep_regression(tmp_path):
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    regenerated = []
     for name, args in GOLDEN_SWEEPS.items():
         fresh = tmp_path / name
         assert cli_main(args + ["-o", str(fresh)]) == 0
         golden = GOLDEN_DIR / name
-        if not golden.exists():  # first generation freezes the golden copy
-            golden.write_bytes(fresh.read_bytes())
-            regenerated.append(name)
+        assert golden.exists(), f"golden copy {name} is missing"
         bitexact = golden.read_bytes() == fresh.read_bytes()
         assert bitexact, f"{name} deviates from its golden copy"
 
@@ -277,7 +273,7 @@ def test_criterion_10_golden_sweep_regression(tmp_path):
     report(
         10,
         single_peak and plateau,
-        f"golden CSVs bit-exact ({'regenerated: ' + ','.join(regenerated) if regenerated else 'all preexisting'}); "
+        "golden CSVs bit-exact; "
         f"single-peak shape at k={peak_at:.3f}; flat plateau max dev "
         f"{np.abs(p5[k5 < 1.0] - 0.25).max():.1e}",
     )

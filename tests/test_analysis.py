@@ -13,6 +13,7 @@ from qstar import (
     flux_report,
     locate_pole,
     n3_transmission,
+    n4_transmission,
 )
 
 FLAT_A = 1 / np.sqrt(2)
@@ -120,3 +121,56 @@ class TestFlux:
         rep = flux_report(GateN4(a=FLAT_A, U=1.0, V=0.25), RHO, 3.0)
         assert 0.0 < rep.total < 3.0
         assert rep.below_threshold > 0.0
+
+    @pytest.mark.parametrize("a", [FLAT_A, 0.9])
+    @pytest.mark.parametrize("k_F", [4.6, 5.0])
+    @pytest.mark.parametrize("u", [0.3, 0.6])
+    def test_cusp_range_matches_fixed_node_gauss_legendre(self, a, k_F, u):
+        g = GateN4(a=a, U=u)
+        rep = flux_report(g, RHO, k_F)
+        ref = _sqrt_mapped_gauss_legendre(
+            lambda k: k * n4_transmission(g, k), (0.0, np.sqrt(u), k_F)
+        )
+        assert rep.total == pytest.approx(ref, rel=1e-9)
+
+    def test_tabulated_density_kinks_are_split(self):
+        # The knot at 0.16 puts a kink below sqrt(U). On the flat gate
+        # P = 1/4 there, so the below-threshold part is exactly
+        # (1/4) * integral of rho(k) k over [0, sqrt(U)].
+        u = 1.65
+        ks = np.array([0.0, 0.16, 2.23, 4.0])
+        rho = np.array([0.7, 0.3, 2.2, 0.7])
+        rep = flux_report(
+            GateN4(a=FLAT_A, U=u), MomentumDistribution.tabulated(ks, rho), 3.0
+        )
+        exact = 0.0
+        for k0, k1, r0, r1 in zip(ks[:-1], ks[1:], rho[:-1], rho[1:]):
+            lo, hi = k0, min(k1, np.sqrt(u))
+            if lo >= hi:
+                break
+            c1 = (r1 - r0) / (k1 - k0)
+            c0 = r0 - c1 * k0
+            exact += 0.25 * (c0 * (hi**2 - lo**2) / 2 + c1 * (hi**3 - lo**3) / 3)
+        assert rep.below_threshold == pytest.approx(exact, abs=1e-10)
+
+    def test_flat_gate_report_call_budget(self):
+        calls = []
+        dist = MomentumDistribution(lambda k: calls.append(k) or 1.0, "counted")
+        flux_report(GateN4(a=FLAT_A, U=1.0), dist, 4.0)
+        assert 0 < len(calls) <= 400
+
+
+def _sqrt_mapped_gauss_legendre(f, edges, nodes=40, panels=4):
+    """Fixed-node Gauss-Legendre integral of the vectorized ``f`` over
+    consecutive pieces of ``edges``. Each half piece is mapped by
+    k = end +- t^2 from its outer end, which makes a square-root cusp at a
+    piece edge smooth in t."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    total = 0.0
+    for p, q in zip(edges[:-1], edges[1:]):
+        for end, sign in ((p, 1.0), (q, -1.0)):
+            bounds = np.linspace(0.0, np.sqrt(0.5 * (q - p)), panels + 1)
+            for t0, t1 in zip(bounds[:-1], bounds[1:]):
+                t = 0.5 * (t0 + t1) + 0.5 * (t1 - t0) * x
+                total += 0.5 * (t1 - t0) * np.sum(w * 2 * t * f(end + sign * t * t))
+    return total

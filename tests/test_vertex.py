@@ -5,6 +5,7 @@ from qstar import (
     BoundaryCondition,
     ChannelSet,
     DimensionMismatchError,
+    SingularMatrixError,
     bc_from_json,
     bc_to_json,
     make_delta,
@@ -114,6 +115,23 @@ class TestValidate:
 
     def test_free_delta_is_scale_invariant(self):
         assert validate(make_delta(3, 0.0)).scale_invariant
+
+    def test_singular_solve_reported_not_scale_invariant(self, monkeypatch):
+        def singular(bc, ch):
+            raise SingularMatrixError("pivot below floor")
+
+        monkeypatch.setattr("qstar.scattering.smatrix", singular)
+        diag = validate(make_st_form(3, 1, [[1.0, 3.0]]))
+        assert diag.full_rank
+        assert not diag.scale_invariant
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        def broken(bc, ch):
+            raise RuntimeError("not a singular solve")
+
+        monkeypatch.setattr("qstar.scattering.smatrix", broken)
+        with pytest.raises(RuntimeError, match="not a singular solve"):
+            validate(make_st_form(3, 1, [[1.0, 3.0]]))
 
     def test_rank_failure_reported(self):
         a = np.zeros((2, 2))
