@@ -2,8 +2,8 @@
 
 Core surface:
 
-- :mod:`qstar.numerics` — complex linear solves (compiled kernel with a
-  pure-Python fallback), adaptive quadrature, root finding.
+- :mod:`qstar.numerics` — complex linear solves by partial-pivot
+  elimination, adaptive quadrature, root finding.
 - :mod:`qstar.vertex` — boundary conditions (scale-invariant block forms,
   delta couplings), validation, JSON (de)serialization.
 - :mod:`qstar.scattering` — the S-matrix engine with evanescent-channel
@@ -67,7 +67,7 @@ from .exceptions import (
     SingularMatrixError,
     SingularSystemError,
 )
-from .numerics import Tolerance, backend, find_root, integrate, solve_linear
+from .numerics import Tolerance, find_root, integrate, solve_linear
 from .scattering import (
     ChannelSet,
     FinalStateWave,

@@ -27,6 +27,9 @@ from .numerics import Tolerance, find_root, integrate
 #: Empirical coefficient of the sharp-peak bandwidth estimate, W ~ C U/b^4.
 BANDWIDTH_COEFFICIENT = 4.7
 
+#: Default root-finding tolerance of the band edges in :func:`bandwidth`.
+BANDWIDTH_TOLERANCE = Tolerance(abs_tol=1e-13, rel_tol=4e-16)
+
 #: Default quadrature tolerance of :func:`flux_report`.
 FLUX_TOLERANCE = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
 
@@ -62,7 +65,7 @@ def bandwidth(f: FilterN3, root_tol: Tolerance | None = None) -> BandReport:
         raise NoBandError(
             f"peak transmission {f.peak_transmission:.4g} <= 1/2: no band"
         )
-    root_tol = root_tol or Tolerance(abs_tol=1e-13, rel_tol=4e-16)
+    root_tol = root_tol or BANDWIDTH_TOLERANCE
     k_th = f.threshold
 
     def excess(k: float) -> float:

@@ -1,38 +1,24 @@
-"""Numerical kernels: small dense complex solves, adaptive Gauss-Kronrod
-quadrature that splits at breakpoints and maps out square-root cusps at
-them, and bracketed root finding.
-
-The linear solver dispatches to a compiled extension when it is installed;
-set ``QSTAR_PURE_PYTHON=1`` to force the pure-Python backend.
+"""Numerical kernels: small dense complex solves by partial-pivot
+elimination, adaptive Gauss-Kronrod quadrature that splits at breakpoints
+and maps out square-root cusps at them, and bracketed root finding.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _solve_py
 from .exceptions import (
     DimensionMismatchError,
     NoConvergenceError,
     NoSignChangeError,
+    SingularMatrixError,
 )
 
-if os.environ.get("QSTAR_PURE_PYTHON"):
-    _backend = _solve_py
-else:
-    try:
-        from . import _solve_cy as _backend  # type: ignore[no-redef]
-    except ImportError:
-        _backend = _solve_py
-
-
-def backend() -> str:
-    """Name of the active linear-solve backend: 'compiled' or 'python'."""
-    return _backend.BACKEND_NAME
+#: Pivots below this multiple of the largest entry of ``a`` abort a solve.
+PIVOT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -50,12 +36,13 @@ class Tolerance:
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for square complex ``a`` by partial-pivot
-    elimination.
+    """Solve ``a @ x = b`` for square complex ``a`` by Gaussian elimination
+    with partial pivoting by modulus.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    result has the same shape. Raises SingularMatrixError when a pivot
-    falls below 1e-14 times the largest entry of ``a``.
+    result has the same shape. ``a`` and ``b`` are copied, never modified.
+    Raises SingularMatrixError when a pivot falls below ``PIVOT_FLOOR``
+    times the largest entry of ``a``.
     """
     a = np.array(a, dtype=np.complex128, order="C")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -72,7 +59,24 @@ def solve_linear(a, b) -> np.ndarray:
         )
     if not np.isfinite(b).all():
         raise ValueError("right-hand side entries must be finite")
-    _backend.solve_inplace(a, b)
+    n = a.shape[0]
+    floor = PIVOT_FLOOR * np.abs(a).max()
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        best = abs(a[p, k])
+        if best < floor or best == 0.0:
+            raise SingularMatrixError(
+                f"pivot {best:.3e} below floor {floor:.3e} at column {k}"
+            )
+        if p != k:
+            a[[k, p], k:] = a[[p, k], k:]
+            b[[k, p]] = b[[p, k]]
+        lam = a[k + 1 :, k] / a[k, k]
+        if lam.size:
+            a[k + 1 :, k + 1 :] -= lam[:, None] * a[k, k + 1 :]
+            b[k + 1 :] -= lam[:, None] * b[k]
+    for k in range(n - 1, -1, -1):
+        b[k] = (b[k] - a[k, k + 1 :] @ b[k + 1 :]) / a[k, k]
     return b[:, 0] if vector else b
 
 

@@ -19,7 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, SingularMatrixError
+from .exceptions import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    SingularMatrixError,
+)
 
 #: Couplings whose S-matrix at two well-separated momenta (all potentials
 #: zero) differs by less than this are reported scale-invariant.
@@ -176,11 +180,26 @@ def bc_to_dict(bc: BoundaryCondition) -> dict:
     return {"n": bc.n, "A": _matrix_to_json(bc.A), "B": _matrix_to_json(bc.B)}
 
 
+class _MalformedShapeError(InvalidParameterError, DimensionMismatchError):
+    """A config matrix of the wrong shape: a config error that callers
+    catching DimensionMismatchError still see as one."""
+
+
 def bc_from_dict(data: dict) -> BoundaryCondition:
-    n = int(data["n"])
-    return BoundaryCondition(
-        n, _matrix_from_json(data["A"], n), _matrix_from_json(data["B"], n)
-    )
+    """Inverse of :func:`bc_to_dict`. Raises InvalidParameterError when a
+    key or an entry is missing or has the wrong type, shape or value."""
+    try:
+        n = int(data["n"])
+        return BoundaryCondition(
+            n, _matrix_from_json(data["A"], n), _matrix_from_json(data["B"], n)
+        )
+    except (LookupError, TypeError, ValueError) as exc:  # KeyError, IndexError
+        error = (
+            _MalformedShapeError
+            if isinstance(exc, DimensionMismatchError)
+            else InvalidParameterError
+        )
+        raise error(f"malformed boundary-condition config: {exc}") from exc
 
 
 def bc_to_json(bc: BoundaryCondition) -> str:

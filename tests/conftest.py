@@ -1,22 +1,8 @@
 import zlib
 
 import numpy as np
-import pytest
 
 from qstar import ChannelSet, make_st_form
-from qstar import _solve_py
-
-try:
-    from qstar import _solve_cy
-
-    SOLVE_BACKENDS = [_solve_py, _solve_cy]
-except ImportError:
-    SOLVE_BACKENDS = [_solve_py]
-
-
-@pytest.fixture(params=SOLVE_BACKENDS, ids=lambda mod: mod.BACKEND_NAME)
-def solve_backend(request):
-    return request.param
 
 
 def random_st_coupling(rng, n_choices=(2, 3, 4), t_range=3.0):

@@ -240,6 +240,15 @@ GOLDEN_SWEEPS = {
     "sweep_n4_flat_U1.csv": ["sweep", "--device", "n4",
                              "--a", "0.7071067811865476", "--U", "1",
                              "--k", "0.05:5:200"],
+    # Band mode through the engine; rows k = 0.5 and k = 1 sit on sqrt(V) and
+    # sqrt(U) and pin the 1e-8 threshold nudge.
+    "sweep_n4_band_U1_V025.csv": ["sweep", "--device", "n4",
+                                  "--a", "0.7071067811865476", "--U", "1",
+                                  "--V", "0.25", "--k", "0.05:5:199"],
+    # A v5-delta chain realising GateN4(0.83, 1, 0.25) at d = 1e-2: a wave-
+    # matching system of order 19.
+    "graph_chain_v5delta_n4.csv": ["graph", str(GOLDEN_DIR / "chain_v5delta_n4.json"),
+                                   "--k", "0.05:5:199"],
 }
 
 

@@ -13,6 +13,7 @@ from qstar import (
     graph_to_json,
     make_st_form,
 )
+from qstar.analysis import BANDWIDTH_TOLERANCE
 from qstar.cli import main
 
 
@@ -144,6 +145,7 @@ class TestReports:
         data = json.loads(out)
         assert data["width_energy"] == pytest.approx(4.7 / 81, rel=0.1)
         assert data["k_lo"] < 1.0 < data["k_hi"]
+        assert data["tolerances"]["edge_bracket"] == BANDWIDTH_TOLERANCE.abs_tol == 1e-13
 
     def test_flux_report(self, capsys):
         code, out, _ = run_cli(
@@ -205,6 +207,22 @@ class TestSmatrix:
         assert code == 0
         data = json.loads(out)
         assert complex(*data["S"][1][0]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("text", [
+        '{"A": [], "B": []}',
+        '{"n": 2, "A": 5, "B": 5}',
+        '{"n": 2, "A": [[[0,0]]], "B": [[[1,0]]]}',
+    ])
+    def test_malformed_bc_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "bc.json"
+        path.write_text(text)
+        code, out, err = run_cli(
+            ["smatrix", "--bc", str(path), "--potentials", "0,0", "--k", "1.3"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "malformed boundary-condition config" in err
 
     def test_closed_column_serializes_as_null(self, capsys):
         code, out, _ = run_cli(

@@ -5,7 +5,9 @@ from qstar import (
     BoundaryCondition,
     ChannelSet,
     DimensionMismatchError,
+    InvalidParameterError,
     SingularMatrixError,
+    bc_from_dict,
     bc_from_json,
     bc_to_json,
     make_delta,
@@ -161,3 +163,16 @@ class TestJson:
     def test_malformed_shape_rejected(self):
         with pytest.raises(DimensionMismatchError):
             bc_from_json('{"n": 2, "A": [[[0,0]]], "B": [[[1,0]]]}')
+
+    @pytest.mark.parametrize("data", [
+        {"A": [], "B": []},                                # no "n"
+        {"n": 2, "A": 5, "B": 5},                          # not nested lists
+        {"n": "two", "A": [], "B": []},                    # n not an integer
+        {"n": 1, "A": [[[1.0]]], "B": [[[0.0, 0.0]]]},     # entry not a pair
+        {"n": 1, "A": [[[1e400, 0.0]]], "B": [[[0.0, 0.0]]]},  # not finite
+        {"n": 2, "A": [[[0, 0]]], "B": [[[1, 0]]]},        # wrong shape
+    ])
+    def test_malformed_dict_is_invalid_parameter(self, data):
+        with pytest.raises(InvalidParameterError,
+                           match="malformed boundary-condition config"):
+            bc_from_dict(data)
