@@ -114,9 +114,7 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     if n < 2:
         raise InvalidParameterError("need at least two external lines")
     channels = ChannelSet(n, tuple(line.U for line in graph.lines), float(energy))
-    if channels.energy <= 0:
-        raise ValueError(f"energy must be positive, got {energy!r}")
-    channels.assert_off_threshold()
+    channels.assert_evaluable()
     k_int = np.sqrt(channels.energy)
     k_ext = channels.momenta()
     sqrt_k = np.sqrt(k_ext)

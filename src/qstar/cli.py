@@ -29,10 +29,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-#: Relative nudge applied to sweep points that coincide with a threshold.
-GRID_NUDGE = 1e-8
-
-
 class UsageError(Exception):
     pass
 
@@ -41,20 +37,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def momentum_grid(lo: float, hi: float, steps: int, thresholds=()) -> np.ndarray:
-    """Inclusive linear grid; points landing on a threshold are nudged up
-    by a relative 1e-8 so engine evaluations stay off the singular set."""
+def momentum_grid(lo: float, hi: float, steps: int, potentials) -> np.ndarray:
+    """Inclusive linear grid; points on the threshold of a line potential
+    move off it (:func:`scattering.nudge_off_threshold`)."""
     if not (lo < hi) or steps < 2:
         raise UsageError(f"invalid momentum range {lo}:{hi}:{steps}")
     if lo <= 0:
         raise UsageError("momenta must be positive")
-    grid = np.linspace(lo, hi, steps)
-    for t in thresholds:
-        if t <= 0:
-            continue
-        coincident = np.abs(grid - t) <= 1e-12 * max(1.0, t)
-        grid[coincident] = t * (1.0 + GRID_NUDGE)
-    return grid
+    return scattering.nudge_off_threshold(np.linspace(lo, hi, steps), potentials)
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -68,14 +58,11 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 
 def _device_from_args(args) -> devices.FilterN3 | devices.GateN4:
-    try:
-        if args.device == "n3":
-            if args.b is None:
-                raise UsageError("--device n3 requires --b")
-            return devices.FilterN3(a=args.a, b=args.b, U=args.U)
-        return devices.GateN4(a=args.a, U=args.U, V=getattr(args, "V", 0.0))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if args.device == "n3":
+        if args.b is None:
+            raise UsageError("--device n3 requires --b")
+        return devices.FilterN3(a=args.a, b=args.b, U=args.U)
+    return devices.GateN4(a=args.a, U=args.U, V=getattr(args, "V", 0.0))
 
 
 def _sweep_rows(device, grid: np.ndarray) -> tuple[list[str], list[list[str]]]:
@@ -154,10 +141,7 @@ def _smatrix_payload(sm: scattering.ScatteringMatrix, potentials) -> dict:
 def _cmd_sweep(args) -> int:
     device = _device_from_args(args)
     lo, hi, steps = _parse_range(args.k)
-    thresholds = [device.threshold]
-    if isinstance(device, devices.GateN4) and device.V > 0:
-        thresholds.append(float(np.sqrt(device.V)))
-    grid = momentum_grid(lo, hi, steps, thresholds)
+    grid = momentum_grid(lo, hi, steps, device.potentials)
     header, rows = _sweep_rows(device, grid)
     _write_csv(args.output, header, rows)
     return EXIT_OK
@@ -290,18 +274,18 @@ def _cmd_graph(args) -> int:
         graph = assembly.graph_from_json(fh.read())
     if (args.E is None) == (args.k is None):
         raise UsageError("give exactly one of --E or --k")
+    j = args.incoming - 1
+    if not 0 <= j < graph.n_lines:
+        raise UsageError(f"incoming line {args.incoming} out of range")
+    potentials = [l.U for l in graph.lines]
     if args.E is not None:
         sm = assembly.compound_smatrix(graph, args.E)
-        payload = _smatrix_payload(sm, [l.U for l in graph.lines])
+        payload = _smatrix_payload(sm, potentials)
         payload["config"] = args.config
         _write_json(args.output, payload)
         return EXIT_OK
     lo, hi, steps = _parse_range(args.k)
-    thresholds = [np.sqrt(l.U) for l in graph.lines if l.U > 0]
-    grid = momentum_grid(lo, hi, steps, thresholds)
-    j = args.incoming - 1
-    if not 0 <= j < graph.n_lines:
-        raise UsageError(f"incoming line {args.incoming} out of range")
+    grid = momentum_grid(lo, hi, steps, potentials)
     header = ["k"] + [f"P{i + 1}{args.incoming}" for i in range(graph.n_lines)]
     rows = []
     for k in grid:

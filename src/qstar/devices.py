@@ -10,7 +10,8 @@ passband transmission 1/4.
 Amplitudes are evaluated with w = sqrt(1 - U/k^2) on the principal branch,
 so below threshold w = i sqrt(U/k^2 - 1) and the formulas continue
 analytically; transmission into the closed line 3 carries an explicit
-step-function cutoff.
+step-function cutoff. Each transmission is |S21|^2 of the one S21
+expression; all of them need k above ~1e-150, where U/k^2 overflows.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import InvalidBandError
-from .scattering import ChannelSet, smatrix
+from .scattering import ChannelSet, nudge_off_threshold, smatrix
 from .vertex import BoundaryCondition, make_st_form
 
 #: b/a ratio beyond which the three-line filter is flagged sharp-peaked.
@@ -66,11 +67,16 @@ class FilterN3:
     def sharp_peak(self) -> bool:
         return self.a >= 1 and self.peak_sharpness >= SHARP_PEAK_RATIO
 
+    @property
+    def potentials(self) -> tuple[float, ...]:
+        """Per-line potentials (0, 0, U)."""
+        return (0.0, 0.0, self.U)
+
     def boundary_condition(self) -> BoundaryCondition:
         return make_st_form(3, 1, [[self.a, self.b]])
 
     def channels(self, k: float) -> ChannelSet:
-        return ChannelSet.at_momentum((0.0, 0.0, self.U), k)
+        return ChannelSet.at_momentum(self.potentials, k)
 
 
 @dataclass(frozen=True)
@@ -106,18 +112,23 @@ class GateN4:
         """Flat-filter mode: 4a^4 = 1, i.e. a = 1/sqrt(2)."""
         return abs(4 * self.a**4 - 1.0) < 1e-12
 
+    @property
+    def potentials(self) -> tuple[float, ...]:
+        """Per-line potentials (0, 0, U, V)."""
+        return (0.0, 0.0, self.U, self.V)
+
     def boundary_condition(self) -> BoundaryCondition:
         return make_st_form(4, 2, [[self.a, self.a], [self.a, -self.a]])
 
     @cached_property
-    def _band_setup(self) -> tuple[BoundaryCondition, tuple[float, float]]:
-        """Boundary condition and thresholds of the band mode, built once
-        per gate because a band-mode flux report evaluates one momentum per
-        call of :func:`band_filter_transmission`."""
-        return self.boundary_condition(), (np.sqrt(self.U), np.sqrt(self.V))
+    def _band_bc(self) -> BoundaryCondition:
+        """Boundary condition of the band mode, built once per gate because
+        a band-mode flux report evaluates one momentum per call of
+        :func:`band_filter_transmission`."""
+        return self.boundary_condition()
 
     def channels(self, k: float) -> ChannelSet:
-        return ChannelSet.at_momentum((0.0, 0.0, self.U, self.V), k)
+        return ChannelSet.at_momentum(self.potentials, k)
 
 
 def _branch(U: float, k: np.ndarray) -> np.ndarray:
@@ -137,48 +148,56 @@ def _scalarize(was_scalar: bool, *arrays):
     return arrays
 
 
+def _n3_s21(f: FilterN3, k: np.ndarray):
+    """S21 = 2a/(1 + a^2 + b^2 w) of the three-line filter, with w and the
+    denominator the other amplitudes share."""
+    w = _branch(f.U, k)
+    den = 1 + f.a**2 + f.b**2 * w
+    return 2 * f.a / den, w, den
+
+
 def n3_amplitudes(f: FilterN3, k):
     """(S11, S21, S31) of the three-line filter; vectorized over k > 0."""
     k_arr = np.asarray(k, dtype=np.float64)
     scalar = k_arr.ndim == 0
-    w = _branch(f.U, k_arr)
-    den = 1 + f.a**2 + f.b**2 * w
-    s21 = 2 * f.a / den
+    s21, w, den = _n3_s21(f, k_arr)
     s11 = (1 - f.a**2 - f.b**2 * w) / den
     s31 = 2 * f.b * _quartic_open(f.U, k_arr) / den
     return _scalarize(scalar, s11, s21, s31)
 
 
 def n3_transmission(f: FilterN3, k):
-    """Input -> output transmission probability of the three-line filter.
+    """Input -> output transmission |S21|^2 of the three-line filter.
 
-    Grows on (0, sqrt(U)), peaks at the threshold, decays beyond it. Both
-    branches are evaluated in forms that stay finite for k -> 0.
+    Grows on (0, sqrt(U)), peaks at the threshold, decays beyond it; one
+    expression serves both sides and stays accurate as k -> 0.
     """
-    k_arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    a2, b2 = f.a**2, f.b**2
-    below = k_arr**2 <= f.U
-    p = np.empty_like(k_arr)
-    kb = k_arr[below]
-    # below threshold: 4 a^2 k^2 / ((1+a^2)^2 k^2 + b^4 (U - k^2))
-    p[below] = 4 * a2 * kb**2 / ((1 + a2) ** 2 * kb**2 + b2**2 * (f.U - kb**2))
-    ka = k_arr[~below]
-    p[~below] = 4 * a2 / (1 + a2 + b2 * np.sqrt(1.0 - f.U / ka**2)) ** 2
-    return p[0] if np.asarray(k).ndim == 0 else p
+    return np.abs(_n3_s21(f, np.asarray(k, dtype=np.float64))[0]) ** 2
 
 
-def n4_amplitudes(g: GateN4, k):
-    """(S11, S21, S31, S41) of the four-line gate in the standard V=0 mode."""
+def _require_zero_drain(g: GateN4) -> None:
     if g.V != 0.0:
         raise InvalidBandError(
             "closed forms hold for V=0; use band_filter_transmission for V>0"
         )
+
+
+def _n4_s21(g: GateN4, k: np.ndarray):
+    """S21 = 2a^2 (1 - w)/((1 + 2a^2)(1 + 2a^2 w)) of the gate (V=0), with
+    w and the denominator the other amplitudes share."""
+    a = g.a
+    w = _branch(g.U, k)
+    den = (1 + 2 * a**2) * (1 + 2 * a**2 * w)
+    return 2 * a**2 * (1 - w) / den, w, den
+
+
+def n4_amplitudes(g: GateN4, k):
+    """(S11, S21, S31, S41) of the four-line gate in the standard V=0 mode."""
+    _require_zero_drain(g)
     k_arr = np.asarray(k, dtype=np.float64)
     scalar = k_arr.ndim == 0
     a = g.a
-    w = _branch(g.U, k_arr)
-    den = (1 + 2 * a**2) * (1 + 2 * a**2 * w)
-    s21 = 2 * a**2 * (1 - w) / den
+    s21, w, den = _n4_s21(g, k_arr)
     s11 = (1 - 4 * a**4 * w) / den
     s31 = 2 * a * (1 + 2 * a**2) * _quartic_open(g.U, k_arr) / den
     s41 = (2 * a + 4 * a**3 * w) / den
@@ -186,39 +205,13 @@ def n4_amplitudes(g: GateN4, k):
 
 
 def n4_transmission(g: GateN4, k):
-    """Input -> output transmission of the gate (V=0).
+    """Input -> output transmission |S21|^2 of the gate (V=0).
 
-    Constant 1/4 below threshold in the flat-filter mode a = 1/sqrt(2).
-    Both branches are evaluated in forms that stay finite for k -> 0.
+    Constant 1/4 below threshold in the flat-filter mode a = 1/sqrt(2);
+    one expression serves both sides and stays accurate as k -> 0.
     """
-    if g.V != 0.0:
-        raise InvalidBandError(
-            "closed forms hold for V=0; use band_filter_transmission for V>0"
-        )
-    k_arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
-    a2 = g.a**2
-    below = k_arr**2 <= g.U
-    p = np.empty_like(k_arr)
-    kb = k_arr[below]
-    # below threshold: 4 a^4 U / ((1+2a^2)^2 ((1-4a^4) k^2 + 4 a^4 U))
-    p[below] = (
-        4 * a2**2 * g.U
-        / ((1 + 2 * a2) ** 2 * ((1 - 4 * a2**2) * kb**2 + 4 * a2**2 * g.U))
-    )
-    ka = k_arr[~below]
-    w = np.sqrt(1.0 - g.U / ka**2)
-    p[~below] = 4 * a2**2 * (1 - w) ** 2 / ((1 + 2 * a2) ** 2 * (1 + 2 * a2 * w) ** 2)
-    return p[0] if np.asarray(k).ndim == 0 else p
-
-
-def _snap_off_threshold(k: float, thresholds, rel: float = 1e-9) -> float:
-    """Move k within ``rel`` of a threshold to the same-side nudged point,
-    keeping engine evaluations off the singular set. The transmission is
-    continuous there, so the induced error is below quadrature noise."""
-    for t in thresholds:
-        if t > 0 and abs(k - t) < rel * t:
-            return t * (1.0 - rel) if k <= t else t * (1.0 + rel)
-    return k
+    _require_zero_drain(g)
+    return np.abs(_n4_s21(g, np.asarray(k, dtype=np.float64))[0]) ** 2
 
 
 def band_filter_transmission(g: GateN4, k):
@@ -226,15 +219,16 @@ def band_filter_transmission(g: GateN4, k):
 
     No closed form exists here; each point is an engine evaluation with
     channel potentials (0, 0, U, V). With V > 0 the gate passes mainly
-    momenta in [sqrt(V), sqrt(U)] (a tunable band filter).
+    momenta in [sqrt(V), sqrt(U)] (a tunable band filter). Momenta on a
+    threshold move as on a CLI grid (:func:`scattering.nudge_off_threshold`).
     """
     if not 0 <= g.V < g.U:
         raise InvalidBandError(f"need 0 <= V < U, got V={g.V!r}, U={g.U!r}")
-    bc, thresholds = g._band_setup
-    k_arr = np.atleast_1d(np.asarray(k, dtype=np.float64))
+    bc = g._band_bc
+    k_arr = nudge_off_threshold(np.atleast_1d(k), g.potentials)
     out = np.empty_like(k_arr)
     for idx, kk in enumerate(k_arr):
-        sm = smatrix(bc, g.channels(_snap_off_threshold(float(kk), thresholds)))
+        sm = smatrix(bc, g.channels(float(kk)))
         out[idx] = np.abs(sm.S[1, 0]) ** 2
     return float(out[0]) if np.asarray(k).ndim == 0 else out
 

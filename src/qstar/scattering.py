@@ -32,6 +32,22 @@ from .vertex import BoundaryCondition
 #: Relative width of the excluded band around each channel threshold.
 THRESHOLD_TOL = 1e-14
 
+#: Relative step that moves a momentum off a threshold it coincides with.
+THRESHOLD_NUDGE = 1e-8
+
+
+def nudge_off_threshold(momenta, potentials) -> np.ndarray:
+    """Copy of ``momenta`` with points within 1e-12*max(1, t) of a threshold
+    t = sqrt(U) > 0 moved to t*(1 + THRESHOLD_NUDGE), clear of THRESHOLD_TOL."""
+    ks = np.array(momenta, dtype=np.float64)
+    for u in potentials:
+        if u <= 0:
+            continue
+        t = np.sqrt(u)
+        coincident = np.abs(ks - t) <= 1e-12 * max(1.0, t)
+        ks[coincident] = t * (1.0 + THRESHOLD_NUDGE)
+    return ks
+
 
 @dataclass(frozen=True)
 class ChannelSet:
@@ -69,9 +85,11 @@ class ChannelSet:
     def open_mask(self) -> np.ndarray:
         return self.energy > np.array(self.potentials)
 
-    def assert_off_threshold(self):
-        """Raise AtThresholdError when E coincides with any U_i, where the
-        momentum matrix K is singular."""
+    def assert_evaluable(self):
+        """Raise ValueError unless E > 0, and AtThresholdError when E
+        coincides with any U_i, where the momentum matrix K is singular."""
+        if self.energy <= 0:
+            raise ValueError(f"energy must be positive, got {self.energy!r}")
         for i, u in enumerate(self.potentials):
             if abs(self.energy - u) < THRESHOLD_TOL * max(abs(self.energy), abs(u)):
                 raise AtThresholdError(
@@ -112,9 +130,7 @@ def smatrix(bc: BoundaryCondition, ch: ChannelSet) -> ScatteringMatrix:
         raise DimensionMismatchError(
             f"coupling degree {bc.n} != channel count {ch.n}"
         )
-    if ch.energy <= 0:
-        raise ValueError(f"energy must be positive, got {ch.energy!r}")
-    ch.assert_off_threshold()
+    ch.assert_evaluable()
     sqrt_k = np.sqrt(ch.momenta())
     lhs = bc.A / sqrt_k[None, :] + 1j * bc.B * sqrt_k[None, :]
     rhs = -(bc.A / sqrt_k[None, :] - 1j * bc.B * sqrt_k[None, :])

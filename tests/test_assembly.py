@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qstar import (
+    AtThresholdError,
+    ChannelSet,
     CompoundGraph,
     DeltaChainRecipe,
     ExternalLine,
@@ -163,6 +165,18 @@ class TestCompoundSmatrix:
         )
         with pytest.raises(SingularSystemError):
             compound_smatrix(g, np.pi**2)
+
+    def test_engine_guard_matches_star_smatrix(self):
+        f = FilterN3(a=1.0, b=3.0, U=1.0)
+        graph = build_recipe(DeltaChainRecipe(f, d=0.01))
+        bc = f.boundary_condition()
+        for energy, error in ((-1.0, ValueError), (1.0, AtThresholdError)):
+            with pytest.raises(error) as star:
+                smatrix(bc, ChannelSet(3, f.potentials, energy))
+            with pytest.raises(error) as chain:
+                compound_smatrix(graph, energy)
+            assert type(chain.value) is type(star.value)
+            assert str(chain.value) == str(star.value)
 
     def test_open_mask_reflects_potentials(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)

@@ -105,6 +105,14 @@ class TestSweep:
         assert code == 2
         assert "--b" in err
 
+    def test_invalid_device_parameter_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--device", "n4", "--a", "-1", "--k", "0.1:2:10"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "qstar: coupling parameter a must be positive\n"
+
     def test_grid_nudges_threshold_point(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--device", "n4", "--a", "0.7071067811865476", "--U", "1",
@@ -268,6 +276,13 @@ class TestGraph:
         header, cols = parse_csv(out)
         assert header == ["k", "P11", "P21", "P31"]
         assert len(cols["k"]) == 8
+
+    @pytest.mark.parametrize("mode", [["--E", "4.0"], ["--k", "0.5:2:4"]])
+    def test_incoming_line_out_of_range_exits_2(self, chain_config, capsys, mode):
+        code, out, err = run_cli(["graph", str(chain_config), *mode, "--in", "9"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "incoming line 9 out of range" in err
 
     def test_requires_exactly_one_mode(self, chain_config, capsys):
         code, _, err = run_cli(["graph", str(chain_config)], capsys)

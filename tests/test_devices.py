@@ -140,7 +140,78 @@ class TestFlatFilter:
         assert flat.flat and not g4.flat
 
 
+def _n3_rational(f, k):
+    """Two-branch rational form of the three-line transmission, finite for
+    k -> 0: an independent oracle for |S21|^2."""
+    a2, b2 = f.a**2, f.b**2
+    below = k**2 <= f.U
+    kb, ka = k[below], k[~below]
+    p = np.empty_like(k)
+    p[below] = 4 * a2 * kb**2 / ((1 + a2) ** 2 * kb**2 + b2**2 * (f.U - kb**2))
+    p[~below] = 4 * a2 / (1 + a2 + b2 * np.sqrt(1.0 - f.U / ka**2)) ** 2
+    return p
+
+
+def _n4_rational(g, k):
+    """The same two-branch rational form for the gate (V=0)."""
+    a2 = g.a**2
+    below = k**2 <= g.U
+    kb, ka = k[below], k[~below]
+    p = np.empty_like(k)
+    p[below] = 4 * a2**2 * g.U / (
+        (1 + 2 * a2) ** 2 * ((1 - 4 * a2**2) * kb**2 + 4 * a2**2 * g.U)
+    )
+    w = np.sqrt(1.0 - g.U / ka**2)
+    p[~below] = 4 * a2**2 * (1 - w) ** 2 / ((1 + 2 * a2) ** 2 * (1 + 2 * a2 * w) ** 2)
+    return p
+
+
+FILTERS = [FilterN3(1.0, 3.0, 1.0), FilterN3(0.3, 0.7, 2.5),
+           FilterN3(2.0, 5.0, 0.01), FilterN3(1.0, 3.0, 0.0)]
+GATES = [GateN4(FLAT_A, 1.0), GateN4(1.0, 1.0), GateN4(0.4, 3.0),
+         GateN4(2.5, 0.2), GateN4(1.0, 0.0)]
+
+
+class TestOneFormula:
+    """Each transmission is |S21|^2 of the amplitude expression."""
+
+    @pytest.mark.parametrize("f", FILTERS)
+    def test_n3_transmission_is_abs_s21_squared(self, f):
+        ks = np.geomspace(1e-6, 1e3, 997)
+        p = n3_transmission(f, ks)
+        assert np.array_equal(p, np.abs(n3_amplitudes(f, ks)[1]) ** 2)
+
+    @pytest.mark.parametrize("g", GATES)
+    def test_n4_transmission_is_abs_s21_squared(self, g):
+        ks = np.geomspace(1e-6, 1e3, 997)
+        p = n4_transmission(g, ks)
+        assert np.array_equal(p, np.abs(n4_amplitudes(g, ks)[1]) ** 2)
+
+    @pytest.mark.parametrize("f", FILTERS)
+    def test_n3_matches_rational_forms_down_to_tiny_k(self, f):
+        ks = np.geomspace(1e-12, 1e4, 20001)
+        np.testing.assert_allclose(
+            n3_transmission(f, ks), _n3_rational(f, ks), rtol=1e-14, atol=0
+        )
+
+    @pytest.mark.parametrize("g", GATES)
+    def test_n4_matches_rational_forms_down_to_tiny_k(self, g):
+        ks = np.geomspace(1e-12, 1e4, 20001)
+        np.testing.assert_allclose(
+            n4_transmission(g, ks), _n4_rational(g, ks), rtol=1e-14, atol=0
+        )
+
+
 class TestBandFilter:
+    def test_exact_thresholds_use_the_grid_nudge(self):
+        g = GateN4(a=0.83, U=1.3, V=0.5)
+        for t in (np.sqrt(g.U), np.sqrt(g.V)):
+            at = band_filter_transmission(g, t)
+            assert np.isfinite(at)
+            assert at == band_filter_transmission(g, t * (1.0 + 1e-8))
+            on_grid = band_filter_transmission(g, np.array([t, 2.0]))
+            assert on_grid[0] == at
+
     def test_zero_drain_matches_closed_form(self, flat):
         ks = np.linspace(0.055, 3.0, 60)  # grid avoids the exact threshold
         diff = np.abs(

@@ -16,6 +16,7 @@ from qstar import (
     smatrix,
     wavefunction,
 )
+from qstar.scattering import nudge_off_threshold
 
 from conftest import random_channels, random_st_coupling, rng_for
 
@@ -188,6 +189,12 @@ class TestChannelSet:
             ChannelSet(3, (0.0, 0.0), 1.0)
         with pytest.raises(ValueError):
             ChannelSet(2, (0.0, np.inf), 1.0)
+
+    def test_nudge_off_threshold(self):
+        ks = np.array([0.5, 1.0 - 1e-13, 1.0 + 1e-11, 2.0])
+        moved = nudge_off_threshold(ks, (0.0, -1.0, 1.0, 4.0))
+        assert list(moved) == [0.5, 1.0 + 1e-8, 1.0 + 1e-11, 2.0 * (1.0 + 1e-8)]
+        assert ks[1] == 1.0 - 1e-13  # the input is not modified
 
     def test_nonpositive_energy_rejected(self):
         bc = make_st_form(2, 1, [[1.0]])
