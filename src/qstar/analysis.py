@@ -2,8 +2,9 @@
 resonance poles, and the flux-control curve J(U).
 
 The resonance pole sits on the unphysical sheet reached by flipping the
-sign of sqrt(1 - U/k^2); for real k > sqrt(U) the flipped closed-form
-denominators are real, so a bracketed 1-D root find locates the pole
+sign of sqrt(1 - U/k^2) in the device's own amplitude denominator
+(``FilterN3.denominator``, ``GateN4.denominator``); for real k > sqrt(U)
+that denominator is real, so a bracketed 1-D root find locates the pole
 without any contour machinery.
 """
 
@@ -27,10 +28,11 @@ from .numerics import Tolerance, find_root, integrate
 #: Empirical coefficient of the sharp-peak bandwidth estimate, W ~ C U/b^4.
 BANDWIDTH_COEFFICIENT = 4.7
 
-#: Default root-finding tolerance of the band edges in :func:`bandwidth`.
+#: Root-finding tolerance of the band edges in :func:`bandwidth` and of the
+#: pole in :func:`locate_pole`.
 BANDWIDTH_TOLERANCE = Tolerance(abs_tol=1e-13, rel_tol=4e-16)
 
-#: Default quadrature tolerance of :func:`flux_report`.
+#: Quadrature tolerance of :func:`flux_report`.
 FLUX_TOLERANCE = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
 
 
@@ -50,7 +52,7 @@ class BandReport:
         return self.width_energy / self.approx_width
 
 
-def bandwidth(f: FilterN3, root_tol: Tolerance | None = None) -> BandReport:
+def bandwidth(f: FilterN3) -> BandReport:
     """Half-maximum band edges of the filter around the threshold peak.
 
     The edges are located by root finding on P(k) - 1/2 on each side of
@@ -65,7 +67,6 @@ def bandwidth(f: FilterN3, root_tol: Tolerance | None = None) -> BandReport:
         raise NoBandError(
             f"peak transmission {f.peak_transmission:.4g} <= 1/2: no band"
         )
-    root_tol = root_tol or BANDWIDTH_TOLERANCE
     k_th = f.threshold
 
     def excess(k: float) -> float:
@@ -76,7 +77,7 @@ def bandwidth(f: FilterN3, root_tol: Tolerance | None = None) -> BandReport:
         lo *= 1e-3
         if lo < 1e-300:
             raise NoBandError("no lower half-max edge found")
-    k_lo = find_root(excess, lo, k_th, tol=root_tol)
+    k_lo = find_root(excess, lo, k_th, tol=BANDWIDTH_TOLERANCE)
 
     if f.high_momentum_transmission >= 0.5:
         raise NoBandError(
@@ -87,7 +88,7 @@ def bandwidth(f: FilterN3, root_tol: Tolerance | None = None) -> BandReport:
         hi *= 2.0
         if hi > 1e9 * k_th:
             raise NoBandError("no upper half-max edge found")
-    k_hi = find_root(excess, k_th, hi, tol=root_tol)
+    k_hi = find_root(excess, k_th, hi, tol=BANDWIDTH_TOLERANCE)
 
     return BandReport(
         center_k=k_th,
@@ -107,49 +108,23 @@ class PoleReport:
     residual: float
 
 
-def _second_sheet_denominator(device) -> tuple:
-    """(denominator on the flipped branch, closed-form pole, existence)."""
-    # Discriminants within 1e-12 of critical count as poleless: the pole
-    # would sit at k ~ 1e6 sqrt(U), an artifact of parameter rounding
-    # (e.g. the double closest to 1/sqrt(2) is marginally above it).
-    if isinstance(device, FilterN3):
-        a, b, U = device.a, device.b, device.U
-
-        def den(k: float) -> float:
-            return 1 + a**2 - b**2 * np.sqrt(1 - U / k**2)
-
-        disc = b**4 - (1 + a**2) ** 2
-        exists = disc > 1e-12 * (1 + a**2) ** 2
-        closed = b**2 * np.sqrt(U) / np.sqrt(disc) if exists else None
-        condition = "b^2 > 1 + a^2"
-    elif isinstance(device, GateN4):
-        a, U = device.a, device.U
-
-        def den(k: float) -> float:
-            w = np.sqrt(1 - U / k**2)
-            return (1 + 2 * a**2) * (1 - 2 * a**2 * w)
-
-        disc = 4 * a**4 - 1
-        exists = disc > 1e-12
-        closed = 2 * a**2 * np.sqrt(U) / np.sqrt(disc) if exists else None
-        condition = "a > 1/sqrt(2)"
-    else:
-        raise TypeError(f"unsupported device {type(device).__name__}")
-    return den, closed, condition
-
-
 def locate_pole(device: FilterN3 | GateN4) -> PoleReport:
     """Locate the real second-sheet pole behind the threshold peak.
 
-    Root-finds the sign-flipped amplitude denominator for k > sqrt(U) and
-    cross-checks against the closed-form pole position. Raises NoPoleError
-    when the parameters admit no pole.
+    Root-finds ``device.denominator`` at w = -sqrt(1 - U/k^2) for
+    k > sqrt(U) and reports the closed-form pole ``device.pole`` beside it.
+    Raises NoPoleError when the parameters admit no pole, and
+    InvalidBandError for a gate with V != 0.
     """
-    den, closed, condition = _second_sheet_denominator(device)
-    if closed is None or device.U <= 0:
+    closed = device.pole
+    if closed is None:
         raise NoPoleError(
-            f"no second-sheet pole: requires {condition} and U > 0"
+            f"no second-sheet pole: requires {device.pole_condition} and U > 0"
         )
+
+    def den(k: float) -> float:
+        return device.denominator(-np.sqrt(1 - device.U / k**2))
+
     k_th = float(np.sqrt(device.U))
     lo = k_th * (1 + 1e-12)
     hi = 2.0 * max(closed, k_th)
@@ -157,12 +132,8 @@ def locate_pole(device: FilterN3 | GateN4) -> PoleReport:
         hi *= 2.0
         if hi > 1e12 * k_th:
             raise NoPoleError("denominator does not change sign on the second sheet")
-    k_pole = find_root(den, lo, hi, tol=Tolerance(abs_tol=1e-13, rel_tol=4e-16))
-    return PoleReport(
-        k_pole=k_pole,
-        closed_form=float(closed),
-        residual=abs(den(k_pole)),
-    )
+    k_pole = find_root(den, lo, hi, tol=BANDWIDTH_TOLERANCE)
+    return PoleReport(k_pole=k_pole, closed_form=closed, residual=abs(den(k_pole)))
 
 
 @dataclass(frozen=True)
@@ -198,18 +169,7 @@ class FluxCurve:
         return float(np.abs(slopes / mean - 1.0).max())
 
 
-def _transmission_fn(g: GateN4):
-    if g.V == 0.0:
-        return lambda k: n4_transmission(g, k)
-    return lambda k: band_filter_transmission(g, k)
-
-
-def flux_report(
-    g: GateN4,
-    dist: MomentumDistribution,
-    k_F: float,
-    tol: Tolerance | None = None,
-) -> FluxReport:
+def flux_report(g: GateN4, dist: MomentumDistribution, k_F: float) -> FluxReport:
     """Flux through the gate for momenta distributed as ``dist`` up to k_F.
 
     Quadrature splits at sqrt(U) (and sqrt(V) when V > 0), where the
@@ -222,22 +182,21 @@ def flux_report(
         raise ValueError("k_F must be positive")
     if g.U > 0 and np.sqrt(g.U) >= k_F:
         raise ValueError("working range sqrt(U) must stay below k_F")
-    tol = tol or FLUX_TOLERANCE
-    p_of_k = _transmission_fn(g)
+    transmission = n4_transmission if g.V == 0.0 else band_filter_transmission
 
     def integrand(k: float) -> float:
         if k < 1e-20:  # rho*k*P vanishes linearly at the origin
             return 0.0
-        return dist.density(k) * k * p_of_k(float(k))
+        return dist.density(k) * k * transmission(g, float(k))
 
     k_th = float(np.sqrt(g.U))
     cuts = [c for c in (np.sqrt(g.V), k_th, *dist.knots) if 0.0 < c < k_F]
     if g.U == 0.0:
         below = 0.0
-        above = integrate(integrand, 0.0, k_F, tol=tol, breakpoints=cuts)
+        above = integrate(integrand, 0.0, k_F, tol=FLUX_TOLERANCE, breakpoints=cuts)
     else:
-        below = integrate(integrand, 0.0, k_th, tol=tol, breakpoints=cuts)
-        above = integrate(integrand, k_th, k_F, tol=tol, breakpoints=cuts)
+        below = integrate(integrand, 0.0, k_th, tol=FLUX_TOLERANCE, breakpoints=cuts)
+        above = integrate(integrand, k_th, k_F, tol=FLUX_TOLERANCE, breakpoints=cuts)
     return FluxReport(
         total=below + above, below_threshold=below, above_threshold=above
     )

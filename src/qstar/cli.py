@@ -61,21 +61,15 @@ def _device_from_args(args) -> devices.FilterN3 | devices.GateN4:
     if args.device == "n3":
         if args.b is None:
             raise UsageError("--device n3 requires --b")
+        if args.V != 0.0:
+            raise UsageError("--V applies only to --device n4")
         return devices.FilterN3(a=args.a, b=args.b, U=args.U)
-    return devices.GateN4(a=args.a, U=args.U, V=getattr(args, "V", 0.0))
+    return devices.GateN4(a=args.a, U=args.U, V=args.V)
 
 
 def _sweep_rows(device, grid: np.ndarray) -> tuple[list[str], list[list[str]]]:
-    if isinstance(device, devices.FilterN3):
-        header = ["k", "P21", "R11", "P31"]
-        s11, s21, s31 = devices.n3_amplitudes(device, grid)
-        cols = [np.abs(s21) ** 2, np.abs(s11) ** 2, np.abs(s31) ** 2]
-    elif device.V == 0.0:
-        header = ["k", "P21", "R11", "P31", "P41"]
-        s11, s21, s31, s41 = devices.n4_amplitudes(device, grid)
-        cols = [np.abs(s21) ** 2, np.abs(s11) ** 2, np.abs(s31) ** 2, np.abs(s41) ** 2]
-    else:  # band mode: engine-backed, transmission masked on closed lines
-        header = ["k", "P21", "R11", "P31", "P41"]
+    if isinstance(device, devices.GateN4) and device.V != 0.0:
+        # band mode: engine-backed, transmission masked on closed lines
         bc = device.boundary_condition()
         rows = []
         for k in grid:
@@ -83,6 +77,12 @@ def _sweep_rows(device, grid: np.ndarray) -> tuple[list[str], list[list[str]]]:
             p = scattering.probabilities(sm)
             rows.append([p[1, 0], p[0, 0], p[2, 0], p[3, 0]])
         cols = list(np.array(rows).T)
+    else:
+        amplitudes = (devices.n3_amplitudes if isinstance(device, devices.FilterN3)
+                      else devices.n4_amplitudes)
+        s11, s21, *s_rest = amplitudes(device, grid)
+        cols = [np.abs(s) ** 2 for s in (s21, s11, *s_rest)]
+    header = ["k", "P21", "R11", "P31", "P41"][: len(cols) + 1]
     table = [
         [_fmt(k)] + [_fmt(c[i]) for c in cols] for i, k in enumerate(grid)
     ]

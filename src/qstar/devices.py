@@ -10,8 +10,13 @@ passband transmission 1/4.
 Amplitudes are evaluated with w = sqrt(1 - U/k^2) on the principal branch,
 so below threshold w = i sqrt(U/k^2 - 1) and the formulas continue
 analytically; transmission into the closed line 3 carries an explicit
-step-function cutoff. Each transmission is |S21|^2 of the one S21
+step-function cutoff. Each device writes its amplitude denominator once
+(``denominator(w)``), and each transmission is |S21|^2 of the one S21
 expression; all of them need k above ~1e-150, where U/k^2 overflows.
+
+The same denominator with w flipped to -sqrt(1 - U/k^2) (the second sheet)
+vanishes at the resonance pole behind the threshold peak; each device also
+carries that pole's closed form (``pole``), or None where it does not exist.
 """
 
 from __future__ import annotations
@@ -54,6 +59,20 @@ class FilterN3:
         iff a = 1."""
         return (2 * self.a / (1 + self.a**2)) ** 2
 
+    #: Existence condition of :attr:`pole`, for error messages.
+    pole_condition = "b^2 > 1 + a^2"
+
+    @property
+    def pole(self) -> float | None:
+        """Closed-form second-sheet pole b^2 sqrt(U)/sqrt(b^4 - (1+a^2)^2),
+        or None unless b^2 > 1 + a^2 and U > 0."""
+        # Discriminants within 1e-12 of critical count as poleless: the pole
+        # would sit at k ~ 1e6 sqrt(U), an artifact of parameter rounding.
+        disc = self.b**4 - (1 + self.a**2) ** 2
+        if self.U <= 0 or not disc > 1e-12 * (1 + self.a**2) ** 2:
+            return None
+        return float(self.b**2 * np.sqrt(self.U) / np.sqrt(disc))
+
     @property
     def high_momentum_transmission(self) -> float:
         return (2 * self.a / (1 + self.a**2 + self.b**2)) ** 2
@@ -71,6 +90,10 @@ class FilterN3:
     def potentials(self) -> tuple[float, ...]:
         """Per-line potentials (0, 0, U)."""
         return (0.0, 0.0, self.U)
+
+    def denominator(self, w):
+        """Amplitude denominator 1 + a^2 + b^2 w, w = sqrt(1 - U/k^2)."""
+        return 1 + self.a**2 + self.b**2 * w
 
     def boundary_condition(self) -> BoundaryCondition:
         return make_st_form(3, 1, [[self.a, self.b]])
@@ -103,6 +126,23 @@ class GateN4:
         """Transmission at the threshold momentum, 4a^4/(1+2a^2)^2."""
         return 4 * self.a**4 / (1 + 2 * self.a**2) ** 2
 
+    #: Existence condition of :attr:`pole`, for error messages.
+    pole_condition = "a > 1/sqrt(2)"
+
+    @property
+    def pole(self) -> float | None:
+        """Closed-form second-sheet pole 2a^2 sqrt(U)/sqrt(4a^4 - 1), or None
+        unless a > 1/sqrt(2) and U > 0. Raises InvalidBandError for V != 0,
+        where the closed forms do not hold."""
+        _require_zero_drain(self)
+        # Discriminants within 1e-12 of critical count as poleless, as for
+        # FilterN3.pole: the double closest to 1/sqrt(2) is marginally above
+        # critical, and the flat gate has no pole.
+        disc = 4 * self.a**4 - 1
+        if self.U <= 0 or not disc > 1e-12:
+            return None
+        return float(2 * self.a**2 * np.sqrt(self.U) / np.sqrt(disc))
+
     @property
     def low_momentum_transmission(self) -> float:
         return 1 / (1 + 2 * self.a**2) ** 2
@@ -116,6 +156,11 @@ class GateN4:
     def potentials(self) -> tuple[float, ...]:
         """Per-line potentials (0, 0, U, V)."""
         return (0.0, 0.0, self.U, self.V)
+
+    def denominator(self, w):
+        """Amplitude denominator (1 + 2a^2)(1 + 2a^2 w) of the V=0 mode,
+        w = sqrt(1 - U/k^2)."""
+        return (1 + 2 * self.a**2) * (1 + 2 * self.a**2 * w)
 
     def boundary_condition(self) -> BoundaryCondition:
         return make_st_form(4, 2, [[self.a, self.a], [self.a, -self.a]])
@@ -152,7 +197,7 @@ def _n3_s21(f: FilterN3, k: np.ndarray):
     """S21 = 2a/(1 + a^2 + b^2 w) of the three-line filter, with w and the
     denominator the other amplitudes share."""
     w = _branch(f.U, k)
-    den = 1 + f.a**2 + f.b**2 * w
+    den = f.denominator(w)
     return 2 * f.a / den, w, den
 
 
@@ -177,18 +222,15 @@ def n3_transmission(f: FilterN3, k):
 
 def _require_zero_drain(g: GateN4) -> None:
     if g.V != 0.0:
-        raise InvalidBandError(
-            "closed forms hold for V=0; use band_filter_transmission for V>0"
-        )
+        raise InvalidBandError(f"closed forms hold only for V=0, got V={g.V!r}")
 
 
 def _n4_s21(g: GateN4, k: np.ndarray):
     """S21 = 2a^2 (1 - w)/((1 + 2a^2)(1 + 2a^2 w)) of the gate (V=0), with
     w and the denominator the other amplitudes share."""
-    a = g.a
     w = _branch(g.U, k)
-    den = (1 + 2 * a**2) * (1 + 2 * a**2 * w)
-    return 2 * a**2 * (1 - w) / den, w, den
+    den = g.denominator(w)
+    return 2 * g.a**2 * (1 - w) / den, w, den
 
 
 def n4_amplitudes(g: GateN4, k):

@@ -20,6 +20,9 @@ from .exceptions import (
 #: Pivots below this multiple of the largest entry of ``a`` abort a solve.
 PIVOT_FLOOR = 1e-14
 
+#: Iteration budget of :func:`find_root`.
+ROOT_MAX_ITER = 500
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -193,7 +196,6 @@ def find_root(
     lo: float,
     hi: float,
     tol: Tolerance | None = None,
-    max_iter: int = 500,
     trace: list | None = None,
 ) -> float:
     """Locate a root of ``f`` inside the bracket ``[lo, hi]``.
@@ -202,7 +204,8 @@ def find_root(
     forced bisection whenever the bracket fails to halve, so convergence is
     guaranteed. Stops when the bracket width drops below
     ``max(abs_tol, rel_tol * |x|)``. Raises NoSignChangeError when
-    ``f(lo)`` and ``f(hi)`` have the same sign.
+    ``f(lo)`` and ``f(hi)`` have the same sign, and NoConvergenceError after
+    ``ROOT_MAX_ITER`` iterations.
 
     ``trace``, if given, collects the (lo, hi) bracket per iteration.
     """
@@ -218,7 +221,7 @@ def find_root(
 
     side = 0
     force_bisect = False
-    for _ in range(max_iter):
+    for _ in range(ROOT_MAX_ITER):
         if trace is not None:
             trace.append((a, b))
         width = b - a
@@ -245,4 +248,4 @@ def find_root(
                 fa *= 0.5
             side = 1
         force_bisect = (b - a) > 0.5 * width
-    raise NoConvergenceError(f"no root to tolerance within {max_iter} iterations")
+    raise NoConvergenceError(f"no root to tolerance within {ROOT_MAX_ITER} iterations")

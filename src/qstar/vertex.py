@@ -105,32 +105,13 @@ class VertexDiagnostics:
     scale_invariant: bool
 
 
-def _rank(block: np.ndarray) -> int:
-    """Rank by pivoted elimination, pivots relative to the largest entry."""
-    work = np.array(block, dtype=np.complex128)
-    rows, cols = work.shape
-    scale = np.abs(work).max()
-    if scale == 0.0:
-        return 0
-    floor = 1e-12 * scale
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        p = r + int(np.argmax(np.abs(work[r:, c])))
-        if abs(work[p, c]) <= floor:
-            continue
-        work[[r, p]] = work[[p, r]]
-        work[r + 1 :] -= np.outer(work[r + 1 :, c] / work[r, c], work[r])
-        r += 1
-    return r
-
-
 def validate(bc: BoundaryCondition) -> VertexDiagnostics:
     """Diagnose a coupling: rank of (A|B), Hermiticity defect of A B*, and
     whether the scattering matrix is momentum-independent at zero
     potential (the scale-invariance property)."""
-    rank = _rank(np.hstack([bc.A, bc.B]))
+    block = np.hstack([bc.A, bc.B])
+    # Singular values above 1e-12 times the largest entry count.
+    rank = int(np.linalg.matrix_rank(block, tol=1e-12 * np.abs(block).max()))
     full_rank = rank == bc.n
     defect = float(
         np.abs(bc.A @ bc.B.conj().T - bc.B @ bc.A.conj().T).max()

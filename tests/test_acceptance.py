@@ -249,6 +249,13 @@ GOLDEN_SWEEPS = {
     # matching system of order 19.
     "graph_chain_v5delta_n4.csv": ["graph", str(GOLDEN_DIR / "chain_v5delta_n4.json"),
                                    "--k", "0.05:5:199"],
+    # Reports from the device denominators: second-sheet poles and band edges.
+    "report_pole_n3_a1_b3_U1.json": ["report", "pole", "--device", "n3", "--a", "1",
+                                     "--b", "3", "--U", "1"],
+    "report_pole_n4_a1_U1.json": ["report", "pole", "--device", "n4", "--a", "1",
+                                  "--U", "1"],
+    "report_bandwidth_a1_b3_U1.json": ["report", "bandwidth", "--a", "1", "--b", "3",
+                                       "--U", "1"],
 }
 
 

@@ -4,6 +4,7 @@ import pytest
 from qstar import (
     FilterN3,
     GateN4,
+    InvalidBandError,
     MomentumDistribution,
     NoBandError,
     NoPoleError,
@@ -82,6 +83,39 @@ class TestLocatePole:
     def test_small_b_filter_has_no_pole(self):
         with pytest.raises(NoPoleError):
             locate_pole(FilterN3(a=1.0, b=1.2, U=1.0))  # b^2 < 1 + a^2
+
+    def test_gate_with_drain_potential_has_no_closed_form_pole(self):
+        with pytest.raises(InvalidBandError):
+            locate_pole(GateN4(a=1.0, U=1.0, V=0.5))
+
+    # (device, k_pole, closed_form, residual), frozen bit for bit.
+    # FilterN3(1, 1.4143) sits just above the critical b = sqrt(2),
+    # GateN4(0.708) just above the critical a = 1/sqrt(2).
+    FROZEN = [
+        (FilterN3(1.0, 3.0, 1.0), 1.0256451881367772, 1.0256451881367414,
+         1.3375967000683886e-12),
+        (FilterN3(1.5, 3.0, 4.0), 2.144719687444204, 2.1447196874441974,
+         6.572520305780927e-14),
+        (FilterN3(0.6, 2.5, 0.3), 0.5611692777555687, 0.5611692777555803,
+         5.6710192097853e-13),
+        (FilterN3(1.0, 1.4143, 1.0), 63.96011922718148, 63.96011922718326, 0.0),
+        (GateN4(1.0, 1.0), 1.1547005383792515, 1.1547005383792517, 0.0),
+        (GateN4(1.3, 2.5), 1.6552407547482568, 1.6552407547483032,
+         1.2774514779323456e-12),
+        (GateN4(0.75, 0.7), 1.8262787623052124, 1.8262787623052126, 0.0),
+        (GateN4(0.708, 1.0), 14.090249313893441, 14.090249313893391, 0.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "device, k_pole, closed_form, residual",
+        FROZEN,
+        ids=[f"{row[0].__class__.__name__}-{i}" for i, row in enumerate(FROZEN)],
+    )
+    def test_pole_bits_frozen(self, device, k_pole, closed_form, residual):
+        rep = locate_pole(device)
+        assert rep.k_pole == k_pole
+        assert rep.closed_form == closed_form == device.pole
+        assert rep.residual == residual
 
 
 class TestFlux:

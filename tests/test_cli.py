@@ -113,6 +113,21 @@ class TestSweep:
         assert out == ""
         assert err == "qstar: coupling parameter a must be positive\n"
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--k", "0.5:2:5"],
+        ["report", "pole"],
+        ["smatrix", "--k", "1.5"],
+    ])
+    def test_drain_potential_on_filter_exits_2(self, capsys, command):
+        # The three-line filter has no drain line; --V must not be ignored.
+        code, out, err = run_cli(
+            command + ["--device", "n3", "--a", "1", "--b", "3", "--V", "0.5"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "qstar: --V applies only to --device n4\n"
+
     def test_grid_nudges_threshold_point(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--device", "n4", "--a", "0.7071067811865476", "--U", "1",
@@ -144,6 +159,16 @@ class TestReports:
         )
         assert code == 3
         assert "pole" in err
+
+    def test_pole_with_drain_potential_is_numerical_failure(self, capsys):
+        # The closed-form pole holds for V = 0 only; no V = 0 pole is printed.
+        code, out, err = run_cli(
+            ["report", "pole", "--device", "n4", "--a", "1", "--U", "1", "--V", "0.5"],
+            capsys,
+        )
+        assert code == 3
+        assert out == ""
+        assert "V=0" in err
 
     def test_bandwidth_report(self, capsys):
         code, out, _ = run_cli(

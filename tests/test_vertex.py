@@ -135,14 +135,40 @@ class TestValidate:
         with pytest.raises(RuntimeError, match="not a singular solve"):
             validate(make_st_form(3, 1, [[1.0, 3.0]]))
 
-    def test_rank_failure_reported(self):
-        a = np.zeros((2, 2))
-        b = np.zeros((2, 2))
-        b[0, 0] = 1.0
-        diag = validate(BoundaryCondition(2, a, b))
-        assert diag.rank == 1
-        assert not diag.full_rank
-        assert not diag.self_adjoint
+    @staticmethod
+    def _known_rank_coupling(kind, n, rng):
+        """(coupling of degree n, rank of its (A|B) by construction)."""
+        if kind == "single_entry":
+            a, b = np.zeros((n, n)), np.zeros((n, n))
+            b[0, 0] = 1.0
+            return BoundaryCondition(n, a, b), 1
+        if kind == "st":
+            t = rng.uniform(-3, 3, (1, n - 1)) + 1j * rng.uniform(-3, 3, (1, n - 1))
+            return make_st_form(n, 1, t), n
+        if kind == "delta":
+            return make_delta(n, rng.uniform(-5, 5)), n
+        block = rng.normal(size=(n, 2 * n)) + 1j * rng.normal(size=(n, 2 * n))
+        i, j = rng.choice(n, size=2, replace=False)
+        if kind == "zero_row":
+            block[i] = 0.0
+        elif kind == "duplicate_row":
+            block[j] = block[i]
+        else:  # complex multiple of another row
+            block[j] = (0.6 - 0.8j) * block[i]
+        return BoundaryCondition(n, block[:, :n], block[:, n:]), n - 1
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["single_entry", "zero_row", "duplicate_row", "complex_multiple", "st", "delta"],
+    )
+    def test_rank_failure_reported(self, kind):
+        rng = rng_for(f"test_rank_failure_reported-{kind}")
+        for n in range(2, 17):
+            bc, rank = self._known_rank_coupling(kind, n, rng)
+            diag = validate(bc)
+            assert diag.rank == rank, f"n={n}"
+            assert diag.full_rank == (rank == n)
+            assert diag.self_adjoint == (rank == n)
 
 
 class TestJson:
