@@ -7,21 +7,22 @@ potentials. ``compound_smatrix`` solves the full wave-matching system: one
 lead, one boundary value per vertex, matched by continuity and
 Kirchhoff-with-strength rows.
 
-``build_recipe`` emits the chains that reproduce the scale-invariant
-filter/gate vertices in the d -> 0 limit. The delta strengths follow the
-standard recipes (e.g. v1 = [a(a-1)+b(b-1)]/d for the three-line filter);
-matching the limit requires the connecting edge between a lead-mu vertex
-and a lead-nu vertex to have length d/|T[mu, nu]|, which degenerates to d
-when the coupling entries are 1. The minus sign of the gate block is
-realized either by a phase pi on the corresponding edge ("magnetic"
-variant) or by a mid-edge delta of strength -8a/d on two d/(2a) halves
-("v5-delta" variant, which also shifts the strengths on lines 2 and 4).
+``build_recipe`` emits the chain that reproduces a device vertex in the
+d -> 0 limit (Cheon, Exner and Turek, Ann. Phys. 325 (2010) 548), read from
+the device's m x (n-m) coupling block T. Line j ends at vertex v<j>. Each
+entry t = T[mu][nu] joins v<mu+1> and v<m+nu+1> by an edge of length d/|t|;
+a negative entry carries phase pi on that edge ("magnetic" variant), or
+instead becomes two d/(2|t|) halves around a delta of strength -8|t|/d, with
+both end strengths lowered by 2|t|/d ("v5-delta" variant). The strengths are
+sum_nu |t|(|t|-1)/d on v<mu+1> and (1 - sum_mu |t|)/d on v<m+nu+1>. The
+chains converge at first order in d when m = 1 or the rows of T are
+orthogonal, as for both devices; with non-orthogonal rows they do not
+converge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
 
 import json
 
@@ -179,8 +180,6 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     return ScatteringMatrix(S=s, k=float(k_int), open_mask=channels.open_mask())
 
 
-Device = Union[FilterN3, GateN4]
-
 MAGNETIC = "magnetic"
 V5_DELTA = "v5-delta"
 
@@ -189,7 +188,7 @@ V5_DELTA = "v5-delta"
 class DeltaChainRecipe:
     """Chain approximating a device vertex at finite separation d."""
 
-    target: Device
+    target: FilterN3 | GateN4
     d: float
     variant: str = MAGNETIC
 
@@ -199,89 +198,41 @@ class DeltaChainRecipe:
         if self.variant not in (MAGNETIC, V5_DELTA):
             raise InvalidParameterError(f"unknown variant {self.variant!r}")
 
-    def strengths(self) -> dict[str, float]:
-        """Delta strengths, scaled as 1/d."""
-        d = self.d
-        t = self.target
-        if isinstance(t, FilterN3):
-            a, b = t.a, t.b
-            return {
-                "v1": (a * (a - 1) + b * (b - 1)) / d,
-                "v2": (1 - a) / d,
-                "v3": (1 - b) / d,
-            }
-        a = t.a
-        if self.variant == MAGNETIC:
-            return {
-                "v1": 2 * a * (a - 1) / d,
-                "v2": 2 * a * (a - 1) / d,
-                "v3": (1 - 2 * a) / d,
-                "v4": (1 - 2 * a) / d,
-            }
-        return {
-            "v1": 2 * a * (a - 1) / d,
-            "v2": 2 * a * (a - 2) / d,
-            "v3": (1 - 2 * a) / d,
-            "v4": (1 - 4 * a) / d,
-            "v5": -8 * a / d,
-        }
-
 
 def build_recipe(recipe: DeltaChainRecipe) -> CompoundGraph:
-    """Compound graph realizing the recipe's device vertex.
-
-    Three-line filter: lead vertices v1 (input), v2 (output, edge of
-    length d/a to v1) and v3 (controlled line, edge of length d/b to v1).
-    Four-line gate: input/output vertices v1, v2 each joined to the
-    controlled/drain vertices v3, v4 by edges of length d/a; the v2-v4
-    edge carries the sign of the coupling block, either as a phase pi or
-    as the mid-edge delta of the "v5-delta" variant.
-    """
+    """Compound graph realizing the recipe's device vertex by the rule of
+    the module docstring."""
     d = recipe.d
-    t = recipe.target
-    v = recipe.strengths()
-    if isinstance(t, FilterN3):
-        return CompoundGraph(
-            vertices=(
-                GraphVertex("v1", v["v1"]),
-                GraphVertex("v2", v["v2"]),
-                GraphVertex("v3", v["v3"]),
-            ),
-            lines=(
-                ExternalLine("v1", 0.0),
-                ExternalLine("v2", 0.0),
-                ExternalLine("v3", t.U),
-            ),
-            edges=(
-                InternalEdge("v1", "v2", d / t.a),
-                InternalEdge("v1", "v3", d / t.b),
-            ),
-        )
-    a = t.a
-    vertices = [
-        GraphVertex("v1", v["v1"]),
-        GraphVertex("v2", v["v2"]),
-        GraphVertex("v3", v["v3"]),
-        GraphVertex("v4", v["v4"]),
-    ]
-    lines = (
-        ExternalLine("v1", 0.0),
-        ExternalLine("v2", 0.0),
-        ExternalLine("v3", t.U),
-        ExternalLine("v4", t.V),
+    T = recipe.target.coupling
+    potentials = recipe.target.potentials
+    n, m = len(potentials), len(T)
+    rows = [0.0] * m
+    cols = [0.0] * (n - m)
+    mids = []
+    edges = []
+    for mu, t_row in enumerate(T):
+        for nu, t in enumerate(t_row):
+            w = abs(t)
+            src, dst = f"v{mu + 1}", f"v{m + nu + 1}"
+            rows[mu] += w * (w - 1)
+            cols[nu] += w
+            if t >= 0:
+                edges.append(InternalEdge(src, dst, d / w))
+            elif recipe.variant == MAGNETIC:
+                edges.append(InternalEdge(src, dst, d / w, phase=np.pi))
+            else:
+                mid = f"v{n + len(mids) + 1}"
+                mids.append(GraphVertex(mid, -8 * w / d))
+                edges.append(InternalEdge(src, mid, d / (2 * w)))
+                edges.append(InternalEdge(mid, dst, d / (2 * w)))
+                rows[mu] -= 2 * w
+                cols[nu] += 2 * w
+    strengths = [r / d for r in rows] + [(1 - c) / d for c in cols]
+    return CompoundGraph(
+        vertices=[GraphVertex(f"v{i + 1}", s) for i, s in enumerate(strengths)] + mids,
+        lines=[ExternalLine(f"v{j + 1}", u) for j, u in enumerate(potentials)],
+        edges=edges,
     )
-    edges = [
-        InternalEdge("v1", "v3", d / a),
-        InternalEdge("v1", "v4", d / a),
-        InternalEdge("v2", "v3", d / a),
-    ]
-    if recipe.variant == MAGNETIC:
-        edges.append(InternalEdge("v2", "v4", d / a, phase=np.pi))
-    else:
-        vertices.append(GraphVertex("v5", v["v5"]))
-        edges.append(InternalEdge("v2", "v5", d / (2 * a)))
-        edges.append(InternalEdge("v5", "v4", d / (2 * a)))
-    return CompoundGraph(vertices=tuple(vertices), lines=lines, edges=tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -315,7 +266,7 @@ def _open_block_distance(s_a: ScatteringMatrix, s_b: ScatteringMatrix) -> float:
 
 
 def convergence_study(
-    target: Device,
+    target: FilterN3 | GateN4,
     k_grid,
     d_sequence,
     variant: str = MAGNETIC,
@@ -324,6 +275,8 @@ def convergence_study(
     distance between the chain S-matrix and the device S-matrix."""
     ks = tuple(float(k) for k in k_grid)
     ds = tuple(float(d) for d in d_sequence)
+    if not ks or not ds:
+        raise InvalidParameterError("need at least one momentum and one separation")
     if any(d <= 0 for d in ds):
         raise InvalidParameterError("separations must be positive")
     bc = target.boundary_condition()

@@ -57,14 +57,22 @@ def _parse_range(text: str) -> tuple[float, float, int]:
         raise UsageError(f"bad momentum range {text!r}: {exc}") from exc
 
 
-def _device_from_args(args) -> devices.FilterN3 | devices.GateN4:
-    if args.device == "n3":
-        if args.b is None:
-            raise UsageError("--device n3 requires --b")
-        if args.V != 0.0:
-            raise UsageError("--V applies only to --device n4")
-        return devices.FilterN3(a=args.a, b=args.b, U=args.U)
-    return devices.GateN4(a=args.a, U=args.U, V=args.V)
+def _device_from_args(args, kind: str, flag: str) -> devices.FilterN3 | devices.GateN4:
+    """The device ``kind`` ("n3" or "n4") chosen by ``flag``, with the one
+    copy of the rules for --a, --b and --V."""
+    b = getattr(args, "b", None)
+    V = getattr(args, "V", 0.0)
+    if args.a is None:
+        raise UsageError(f"{flag} requires --a")
+    if kind == "n3":
+        if b is None:
+            raise UsageError(f"{flag} n3 requires --b")
+        if V != 0.0:
+            raise UsageError(f"--V applies only to {flag} n4")
+        return devices.FilterN3(a=args.a, b=b, U=args.U)
+    if b is not None:
+        raise UsageError(f"--b applies only to {flag} n3")
+    return devices.GateN4(a=args.a, U=args.U, V=V)
 
 
 def _sweep_rows(device, grid: np.ndarray) -> tuple[list[str], list[list[str]]]:
@@ -139,7 +147,7 @@ def _smatrix_payload(sm: scattering.ScatteringMatrix, potentials) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    device = _device_from_args(args)
+    device = _device_from_args(args, args.device, "--device")
     lo, hi, steps = _parse_range(args.k)
     grid = momentum_grid(lo, hi, steps, device.potentials)
     header, rows = _sweep_rows(device, grid)
@@ -148,7 +156,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report_bandwidth(args) -> int:
-    f = devices.FilterN3(a=args.a, b=args.b, U=args.U)
+    f = _device_from_args(args, "n3", "--device")
     rep = analysis.bandwidth(f)
     _write_json(
         args.output,
@@ -170,7 +178,7 @@ def _cmd_report_bandwidth(args) -> int:
 
 
 def _cmd_report_pole(args) -> int:
-    device = _device_from_args(args)
+    device = _device_from_args(args, args.device, "--device")
     rep = analysis.locate_pole(device)
     payload = {
         "kind": "pole",
@@ -190,7 +198,7 @@ def _cmd_report_pole(args) -> int:
 
 def _cmd_report_flux(args) -> int:
     dist = devices.MomentumDistribution.constant(args.rho)
-    gate = devices.GateN4(a=args.a, U=args.U, V=args.V)
+    gate = _device_from_args(args, "n4", "--device")
     rep = analysis.flux_report(gate, dist, args.kF)
     payload = {
         "kind": "flux",
@@ -217,12 +225,7 @@ def _cmd_report_flux(args) -> int:
 
 
 def _cmd_report_converge(args) -> int:
-    if args.recipe == "n3":
-        if args.b is None:
-            raise UsageError("--recipe n3 requires --b")
-        target = devices.FilterN3(a=args.a, b=args.b, U=args.U)
-    else:
-        target = devices.GateN4(a=args.a, U=args.U)
+    target = _device_from_args(args, args.recipe, "--recipe")
     ds = tuple(args.d0 * 2.0**-m for m in range(args.halvings + 1))
     ks = tuple(float(k) for k in args.k_grid.split(","))
     rep = assembly.convergence_study(target, ks, ds, variant=args.variant)
@@ -250,6 +253,8 @@ def _cmd_report_converge(args) -> int:
 
 def _cmd_smatrix(args) -> int:
     if args.bc is not None:
+        if args.device is not None:
+            raise UsageError("give either --device or --bc, not both")
         if args.potentials is None:
             raise UsageError("--bc requires --potentials u1,u2,...")
         with open(args.bc) as fh:
@@ -261,7 +266,7 @@ def _cmd_smatrix(args) -> int:
     else:
         if args.device is None:
             raise UsageError("give either --device or --bc")
-        device = _device_from_args(args)
+        device = _device_from_args(args, args.device, "--device")
         bc = device.boundary_condition()
         ch = device.channels(args.k)
     sm = scattering.smatrix(bc, ch)

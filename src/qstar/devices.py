@@ -7,6 +7,12 @@ momentum sqrt(U); the four-line gate (parameter a, plus a drain line 4)
 acts as a sluice gate, and at a = 1/sqrt(2) as a flat filter with constant
 passband transmission 1/4.
 
+Each device is fixed by its ``coupling``, the ST block T of its vertex as a
+tuple of real rows: [[a, b]] for the filter, [[a, a], [a, -a]] for the gate.
+The boundary condition, the channels and the threshold are built from T and
+the per-line ``potentials`` in one place, and so are the delta chains of
+:mod:`qstar.assembly`.
+
 Amplitudes are evaluated with w = sqrt(1 - U/k^2) on the principal branch,
 so below threshold w = i sqrt(U/k^2 - 1) and the formulas continue
 analytically; transmission into the closed line 3 carries an explicit
@@ -34,8 +40,23 @@ from .vertex import BoundaryCondition, make_st_form
 SHARP_PEAK_RATIO = 3.0
 
 
+class _StarDevice:
+    """Vertex and channels shared by the devices, read from their
+    ``coupling`` block T and per-line ``potentials``."""
+
+    @property
+    def threshold(self) -> float:
+        return float(np.sqrt(self.U))
+
+    def boundary_condition(self) -> BoundaryCondition:
+        return make_st_form(len(self.potentials), len(self.coupling), self.coupling)
+
+    def channels(self, k: float) -> ChannelSet:
+        return ChannelSet.at_momentum(self.potentials, k)
+
+
 @dataclass(frozen=True)
-class FilterN3:
+class FilterN3(_StarDevice):
     """Three-line spectral filter: coupling parameters (a, b), controlling
     potential U on line 3."""
 
@@ -48,10 +69,6 @@ class FilterN3:
             raise ValueError("coupling parameters a, b must be positive")
         if self.U < 0:
             raise ValueError("controlling potential U must be nonnegative")
-
-    @property
-    def threshold(self) -> float:
-        return float(np.sqrt(self.U))
 
     @property
     def peak_transmission(self) -> float:
@@ -91,19 +108,18 @@ class FilterN3:
         """Per-line potentials (0, 0, U)."""
         return (0.0, 0.0, self.U)
 
+    @property
+    def coupling(self) -> tuple[tuple[float, ...], ...]:
+        """Coupling block T = [[a, b]]."""
+        return ((self.a, self.b),)
+
     def denominator(self, w):
         """Amplitude denominator 1 + a^2 + b^2 w, w = sqrt(1 - U/k^2)."""
         return 1 + self.a**2 + self.b**2 * w
 
-    def boundary_condition(self) -> BoundaryCondition:
-        return make_st_form(3, 1, [[self.a, self.b]])
-
-    def channels(self, k: float) -> ChannelSet:
-        return ChannelSet.at_momentum(self.potentials, k)
-
 
 @dataclass(frozen=True)
-class GateN4:
+class GateN4(_StarDevice):
     """Four-line sluice gate: coupling parameter a, controlling potential U
     on line 3, drain potential V on line 4 (0 in the standard mode)."""
 
@@ -116,10 +132,6 @@ class GateN4:
             raise ValueError("coupling parameter a must be positive")
         if self.U < 0 or self.V < 0:
             raise ValueError("potentials must be nonnegative")
-
-    @property
-    def threshold(self) -> float:
-        return float(np.sqrt(self.U))
 
     @property
     def peak_transmission(self) -> float:
@@ -157,13 +169,15 @@ class GateN4:
         """Per-line potentials (0, 0, U, V)."""
         return (0.0, 0.0, self.U, self.V)
 
+    @property
+    def coupling(self) -> tuple[tuple[float, ...], ...]:
+        """Coupling block T = [[a, a], [a, -a]]."""
+        return ((self.a, self.a), (self.a, -self.a))
+
     def denominator(self, w):
         """Amplitude denominator (1 + 2a^2)(1 + 2a^2 w) of the V=0 mode,
         w = sqrt(1 - U/k^2)."""
         return (1 + 2 * self.a**2) * (1 + 2 * self.a**2 * w)
-
-    def boundary_condition(self) -> BoundaryCondition:
-        return make_st_form(4, 2, [[self.a, self.a], [self.a, -self.a]])
 
     @cached_property
     def _band_bc(self) -> BoundaryCondition:
@@ -171,9 +185,6 @@ class GateN4:
         a band-mode flux report evaluates one momentum per call of
         :func:`band_filter_transmission`."""
         return self.boundary_condition()
-
-    def channels(self, k: float) -> ChannelSet:
-        return ChannelSet.at_momentum(self.potentials, k)
 
 
 def _branch(U: float, k: np.ndarray) -> np.ndarray:

@@ -27,31 +27,35 @@ from conftest import rng_for
 FLAT_A = 1 / np.sqrt(2)
 
 
+def _strengths(recipe):
+    return {v.id: v.strength for v in build_recipe(recipe).vertices}
+
+
 class TestRecipeStrengths:
     def test_filter_example(self):
         r = DeltaChainRecipe(FilterN3(a=1.0, b=3.0, U=1.0), d=0.1)
-        assert r.strengths() == {"v1": 60.0, "v2": 0.0, "v3": -20.0}
+        assert _strengths(r) == {"v1": 60.0, "v2": 0.0, "v3": -20.0}
 
     def test_gate_v5_example(self):
         r = DeltaChainRecipe(GateN4(a=1.0, U=1.0), d=0.1, variant=V5_DELTA)
-        v = r.strengths()
+        v = _strengths(r)
         assert v == pytest.approx(
             {"v1": 0.0, "v2": -20.0, "v3": -10.0, "v4": -30.0, "v5": -80.0}
         )
 
     def test_free_couplings_when_unit_parameters(self):
         r = DeltaChainRecipe(FilterN3(a=1.0, b=1.0, U=1.0), d=0.05)
-        assert all(v == 0.0 for v in r.strengths().values())
+        assert all(v == 0.0 for v in _strengths(r).values())
 
     def test_strengths_scale_inversely_with_d(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)
-        v1 = DeltaChainRecipe(f, d=0.1).strengths()
-        v2 = DeltaChainRecipe(f, d=0.05).strengths()
+        v1 = _strengths(DeltaChainRecipe(f, d=0.1))
+        v2 = _strengths(DeltaChainRecipe(f, d=0.05))
         for key in v1:
             assert v2[key] == pytest.approx(2 * v1[key], rel=1e-14)
 
     def test_gate_magnetic_strengths(self):
-        v = DeltaChainRecipe(GateN4(a=FLAT_A, U=1.0), d=0.1).strengths()
+        v = _strengths(DeltaChainRecipe(GateN4(a=FLAT_A, U=1.0), d=0.1))
         a = FLAT_A
         assert v["v1"] == pytest.approx(2 * a * (a - 1) / 0.1)
         assert v["v2"] == v["v1"]
@@ -63,6 +67,82 @@ class TestRecipeStrengths:
             DeltaChainRecipe(FilterN3(1.0, 3.0, 1.0), d=0.0)
         with pytest.raises(InvalidParameterError):
             DeltaChainRecipe(GateN4(1.0, 1.0), d=0.1, variant="bogus")
+
+
+def _hand_built_graph(device, d, variant):
+    """Oracle: the per-device strength tables and layouts that the generic
+    T -> chain rule of ``build_recipe`` replaced."""
+    if isinstance(device, FilterN3):
+        a, b = device.a, device.b
+        return CompoundGraph(
+            vertices=(
+                GraphVertex("v1", (a * (a - 1) + b * (b - 1)) / d),
+                GraphVertex("v2", (1 - a) / d),
+                GraphVertex("v3", (1 - b) / d),
+            ),
+            lines=(
+                ExternalLine("v1", 0.0),
+                ExternalLine("v2", 0.0),
+                ExternalLine("v3", device.U),
+            ),
+            edges=(InternalEdge("v1", "v2", d / a), InternalEdge("v1", "v3", d / b)),
+        )
+    a = device.a
+    lines = (
+        ExternalLine("v1", 0.0),
+        ExternalLine("v2", 0.0),
+        ExternalLine("v3", device.U),
+        ExternalLine("v4", device.V),
+    )
+    edges = [
+        InternalEdge("v1", "v3", d / a),
+        InternalEdge("v1", "v4", d / a),
+        InternalEdge("v2", "v3", d / a),
+    ]
+    if variant == MAGNETIC:
+        strengths = [2 * a * (a - 1), 2 * a * (a - 1), 1 - 2 * a, 1 - 2 * a]
+        edges.append(InternalEdge("v2", "v4", d / a, phase=np.pi))
+    else:
+        strengths = [2 * a * (a - 1), 2 * a * (a - 2), 1 - 2 * a, 1 - 4 * a, -8 * a]
+        edges.append(InternalEdge("v2", "v5", d / (2 * a)))
+        edges.append(InternalEdge("v5", "v4", d / (2 * a)))
+    vertices = [GraphVertex(f"v{i + 1}", s / d) for i, s in enumerate(strengths)]
+    return CompoundGraph(vertices=vertices, lines=lines, edges=edges)
+
+
+class TestRecipeFromCoupling:
+    def test_matches_the_hand_built_devices(self):
+        rng = rng_for("recipe-from-coupling")
+        for _ in range(200):
+            a, b = (float(x) for x in rng.uniform(0.05, 4.0, size=2))
+            U = float(rng.uniform(0.0, 3.0))
+            V = float(rng.uniform(0.0, U))
+            d = float(10.0 ** rng.uniform(-8, -1))
+            for device in (FilterN3(a, b, U), GateN4(a, U, V)):
+                for variant in (MAGNETIC, V5_DELTA):
+                    got = build_recipe(DeltaChainRecipe(device, d, variant))
+                    want = _hand_built_graph(device, d, variant)
+                    if isinstance(device, FilterN3) or variant == MAGNETIC:
+                        assert got == want
+                        continue
+                    # v2 = [a(a-1) + a(a-1) - 2a]/d rounds differently from
+                    # 2a(a-2)/d; the terms cancel near a = 2, so the bound
+                    # is relative to their size.
+                    assert got.lines == want.lines and got.edges == want.edges
+                    assert [v.id for v in got.vertices] == [v.id for v in want.vertices]
+                    for g, w in zip(got.vertices, want.vertices):
+                        if g.id != "v2":
+                            assert g.strength == w.strength
+                    scale = (2 * a * abs(a - 1) + 2 * a) / d
+                    assert abs(got.vertices[1].strength - want.vertices[1].strength) <= (
+                        1e-14 * scale
+                    )
+
+    def test_filter_variants_build_the_same_graph(self):
+        f = FilterN3(a=0.83, b=2.4, U=1.3)
+        assert build_recipe(DeltaChainRecipe(f, 0.01, MAGNETIC)) == build_recipe(
+            DeltaChainRecipe(f, 0.01, V5_DELTA)
+        )
 
 
 class TestBuildRecipe:
@@ -208,6 +288,13 @@ class TestConvergence:
         for k in (0.5, 3.0):
             sm = compound_smatrix(graph, k**2)
             assert np.abs(sm.S - exact.S).max() < 5e-3
+
+    def test_empty_grids_rejected(self):
+        f = FilterN3(a=1.0, b=3.0, U=1.0)
+        with pytest.raises(InvalidParameterError):
+            convergence_study(f, (0.5, 2.0), ())
+        with pytest.raises(InvalidParameterError):
+            convergence_study(f, (), (0.1, 0.05))
 
     def test_open_block_distance_skips_closed_lines(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)

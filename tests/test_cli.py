@@ -128,6 +128,19 @@ class TestSweep:
         assert out == ""
         assert err == "qstar: --V applies only to --device n4\n"
 
+    @pytest.mark.parametrize("command, flag", [
+        (["sweep", "--device", "n4", "--k", "0.5:1:2"], "--device"),
+        (["report", "pole", "--device", "n4"], "--device"),
+        (["smatrix", "--device", "n4", "--k", "1.5"], "--device"),
+        (["report", "converge", "--recipe", "n4"], "--recipe"),
+    ])
+    def test_b_on_gate_exits_2(self, capsys, command, flag):
+        # The gate's coupling block has no b; --b must not be ignored.
+        code, out, err = run_cli(command + ["--a", "1", "--b", "3", "--U", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"qstar: --b applies only to {flag} n3\n"
+
     def test_grid_nudges_threshold_point(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--device", "n4", "--a", "0.7071067811865476", "--U", "1",
@@ -215,6 +228,16 @@ class TestReports:
         assert len(eps) == 4
         assert all(b < a for a, b in zip(eps, eps[1:]))
 
+    def test_converge_without_separations_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
+             "--U", "1", "--halvings", "-1"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "at least one momentum and one separation" in err
+
 
 class TestSmatrix:
     def test_device_mode(self, capsys):
@@ -240,6 +263,24 @@ class TestSmatrix:
         assert code == 0
         data = json.loads(out)
         assert complex(*data["S"][1][0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_device_and_bc_together_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bc.json"
+        path.write_text(bc_to_json(make_st_form(2, 1, [[1.0]])))
+        code, out, err = run_cli(
+            ["smatrix", "--device", "n4", "--a", "1", "--bc", str(path),
+             "--potentials", "0,0", "--k", "1.3"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "qstar: give either --device or --bc, not both\n"
+
+    def test_device_without_a_exits_2(self, capsys):
+        code, out, err = run_cli(["smatrix", "--device", "n4", "--k", "1.5"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "qstar: --device requires --a\n"
 
     @pytest.mark.parametrize("text", [
         '{"A": [], "B": []}',
