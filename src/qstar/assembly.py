@@ -175,7 +175,7 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     try:
         solution = solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
-        raise SingularSystemError(float(energy)) from exc
+        raise SingularSystemError(float(energy), str(exc)) from exc
     s = solution[2 * n_edges : 2 * n_edges + n, :].copy()
     return ScatteringMatrix(S=s, k=float(k_int), open_mask=channels.open_mask())
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -59,20 +60,23 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 def _device_from_args(args, kind: str, flag: str) -> devices.FilterN3 | devices.GateN4:
     """The device ``kind`` ("n3" or "n4") chosen by ``flag``, with the one
-    copy of the rules for --a, --b and --V."""
+    copy of the rules for --a, --b and --V and the defaults of the options
+    a parser leaves out."""
+    a = getattr(args, "a", None)
     b = getattr(args, "b", None)
+    U = getattr(args, "U", 1.0)
     V = getattr(args, "V", 0.0)
-    if args.a is None:
+    if a is None:
         raise UsageError(f"{flag} requires --a")
     if kind == "n3":
         if b is None:
             raise UsageError(f"{flag} n3 requires --b")
         if V != 0.0:
             raise UsageError(f"--V applies only to {flag} n4")
-        return devices.FilterN3(a=args.a, b=b, U=args.U)
+        return devices.FilterN3(a=a, b=b, U=U)
     if b is not None:
         raise UsageError(f"--b applies only to {flag} n3")
-    return devices.GateN4(a=args.a, U=args.U, V=V)
+    return devices.GateN4(a=a, U=U, V=V)
 
 
 def _sweep_rows(device, grid: np.ndarray) -> tuple[list[str], list[list[str]]]:
@@ -255,6 +259,9 @@ def _cmd_smatrix(args) -> int:
     if args.bc is not None:
         if args.device is not None:
             raise UsageError("give either --device or --bc, not both")
+        given = [f"--{name}" for name in ("a", "b", "U", "V") if name in vars(args)]
+        if given:
+            raise UsageError(f"--bc takes no device options: {', '.join(given)}")
         if args.potentials is None:
             raise UsageError("--bc requires --potentials u1,u2,...")
         with open(args.bc) as fh:
@@ -302,14 +309,22 @@ def _cmd_graph(args) -> int:
 
 
 def _add_device_args(parser, require_device=True):
+    """--device, --a, --b, --U and --V. Where the device is optional
+    (``smatrix``), an option not given stays out of the namespace, so that
+    ``--bc`` can reject those given; :func:`_device_from_args` supplies the
+    same defaults."""
+    def default(value):
+        return value if require_device else argparse.SUPPRESS
+
     parser.add_argument("--device", choices=("n3", "n4"), required=require_device)
-    parser.add_argument("--a", type=float, required=require_device)
-    parser.add_argument("--b", type=float, default=None)
-    parser.add_argument("--U", type=float, default=1.0)
-    parser.add_argument("--V", type=float, default=0.0)
+    parser.add_argument("--a", type=float, required=require_device, default=default(None))
+    parser.add_argument("--b", type=float, default=default(None))
+    parser.add_argument("--U", type=float, default=default(1.0))
+    parser.add_argument("--V", type=float, default=default(0.0))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``qstar`` command."""
     parser = argparse.ArgumentParser(
         prog="qstar",
         description="Scattering on quantum star graphs: device curves, "
@@ -382,10 +397,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than most commands; build it once per
+    # process. Parsing keeps no state in it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:

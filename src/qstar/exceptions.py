@@ -48,8 +48,10 @@ class InvalidParameterError(QStarError, ValueError):
 
 class SingularSystemError(QStarError, ArithmeticError):
     """The wave-matching system is singular (discrete resonance of the
-    finite structure) at the requested energy."""
+    finite structure) at the requested energy; ``detail`` is the solver's
+    account of the failed pivot."""
 
-    def __init__(self, energy, message=None):
+    def __init__(self, energy, detail=None):
         self.energy = energy
-        super().__init__(message or f"wave-matching system singular at E={energy!r}")
+        message = f"wave-matching system singular at E={energy!r}"
+        super().__init__(f"{message}: {detail}" if detail else message)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,15 @@ from qstar.assembly import MAGNETIC, V5_DELTA, _open_block_distance
 from conftest import rng_for
 
 FLAT_A = 1 / np.sqrt(2)
+
+
+def _resonant_ring():
+    """Two unit edges between two free vertices: resonant at E = pi^2."""
+    return CompoundGraph(
+        vertices=(GraphVertex("a", 0.0), GraphVertex("b", 0.0)),
+        lines=(ExternalLine("a", 0.0), ExternalLine("b", 0.0)),
+        edges=(InternalEdge("a", "b", 1.0), InternalEdge("a", "b", 1.0)),
+    )
 
 
 def _strengths(recipe):
@@ -238,13 +249,19 @@ class TestCompoundSmatrix:
         assert np.abs(approx.S - exact.S).max() < 0.02
 
     def test_singular_resonance_detected(self):
-        g = CompoundGraph(
-            vertices=(GraphVertex("a", 0.0), GraphVertex("b", 0.0)),
-            lines=(ExternalLine("a", 0.0), ExternalLine("b", 0.0)),
-            edges=(InternalEdge("a", "b", 1.0), InternalEdge("a", "b", 1.0)),
-        )
         with pytest.raises(SingularSystemError):
-            compound_smatrix(g, np.pi**2)
+            compound_smatrix(_resonant_ring(), np.pi**2)
+
+    def test_singular_error_carries_pivot_detail(self):
+        with pytest.raises(SingularSystemError) as info:
+            compound_smatrix(_resonant_ring(), np.pi**2)
+        assert info.value.energy == np.pi**2
+        assert re.fullmatch(
+            rf"wave-matching system singular at E={np.pi**2!r}: pivot \S+ below "
+            r"floor \S+ at column \d+",
+            str(info.value),
+        )
+        assert str(SingularSystemError(2.0)) == "wave-matching system singular at E=2.0"
 
     def test_engine_guard_matches_star_smatrix(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)

@@ -1,10 +1,16 @@
+import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qstar
 from qstar import (
     FilterN3,
     bc_to_json,
@@ -13,6 +19,7 @@ from qstar import (
     graph_to_json,
     make_st_form,
 )
+from qstar import cli
 from qstar.analysis import BANDWIDTH_TOLERANCE
 from qstar.cli import main
 
@@ -276,6 +283,22 @@ class TestSmatrix:
         assert out == ""
         assert err == "qstar: give either --device or --bc, not both\n"
 
+    @pytest.mark.parametrize("options,named", [
+        (["--a", "3", "--b", "7", "--V", "2"], "--a, --b, --V"),
+        (["--U", "1"], "--U"),
+        (["--V", "0"], "--V"),
+    ], ids=["a-b-V", "U", "V-zero"])
+    def test_bc_with_device_options_exits_2(self, tmp_path, capsys, options, named):
+        path = tmp_path / "bc.json"
+        path.write_text(bc_to_json(make_st_form(3, 1, [[1.0, 3.0]])))
+        code, out, err = run_cli(
+            ["smatrix", "--bc", str(path), "--potentials", "0,0,1", *options, "--k", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"qstar: --bc takes no device options: {named}\n"
+
     def test_device_without_a_exits_2(self, capsys):
         code, out, err = run_cli(["smatrix", "--device", "n4", "--k", "1.5"], capsys)
         assert code == 2
@@ -390,11 +413,54 @@ class TestGraph:
         assert "singular" in err.lower()
 
 
+class TestReentrantMain:
+    """One process runs ``main`` on errors and successes in turn; each call
+    matches ``python -m qstar`` in a fresh interpreter."""
+
+    CALLS = [
+        (["report", "flux", "--a", "1"], 2),
+        (["report", "--help"], 0),
+        (["sweep", "--device", "n4", "--a", "1", "--b", "3", "--k", "0.1:2:5"], 2),
+        (["report", "pole", "--device", "n4", "--a", "0.5"], 3),
+        (["sweep", "--device", "n3", "--a", "1", "--b", "3", "--k", "0.05:5:7"], 0),
+        (["report", "flux", "--a", "0.7071067811865476", "--U", "1", "--kF", "4"], 0),
+        (["smatrix", "--device", "n4", "--a", "1", "--U", "1", "--k", "1.5"], 0),
+        (["graph", "chain.json", "--E", "4.0"], 0),
+    ]
+
+    def test_matches_fresh_interpreters(self, tmp_path, monkeypatch, capsys):
+        graph = build_recipe(DeltaChainRecipe(FilterN3(1.0, 3.0, 1.0), d=0.01))
+        (tmp_path / "chain.json").write_text(graph_to_json(graph))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        src = str(Path(qstar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[-1] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        for argv, expected_code in self.CALLS:
+            built.append(0)
+            result = run_cli(argv, capsys)
+            fresh = subprocess.run([sys.executable, "-m", "qstar", *argv],
+                                   capture_output=True, env=env)
+            expected = (fresh.returncode, fresh.stdout.decode(), fresh.stderr.decode())
+            assert result == expected, argv
+            assert result[0] == expected_code, argv
+        assert built[0] > 0
+        assert built[1:] == [0] * (len(self.CALLS) - 1)
+        assert cli.build_parser() is not cli.build_parser()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "qstar", "report", "pole", "--device", "n4",
              "--a", "1", "--U", "1"],
