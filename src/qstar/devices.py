@@ -27,8 +27,10 @@ carries that pole's closed form (``pole``), or None where it does not exist.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -54,6 +56,10 @@ class _StarDevice:
     def channels(self, k: float) -> ChannelSet:
         return ChannelSet.at_momentum(self.potentials, k)
 
+    def _require_finite(self) -> None:
+        if not all(map(math.isfinite, chain(self.potentials, *self.coupling))):
+            raise ValueError(f"device parameters must be finite, got {self!r}")
+
 
 @dataclass(frozen=True)
 class FilterN3(_StarDevice):
@@ -65,6 +71,7 @@ class FilterN3(_StarDevice):
     U: float = 1.0
 
     def __post_init__(self):
+        self._require_finite()
         if not (self.a > 0 and self.b > 0):
             raise ValueError("coupling parameters a, b must be positive")
         if self.U < 0:
@@ -128,6 +135,7 @@ class GateN4(_StarDevice):
     V: float = 0.0
 
     def __post_init__(self):
+        self._require_finite()
         if not self.a > 0:
             raise ValueError("coupling parameter a must be positive")
         if self.U < 0 or self.V < 0:
@@ -270,8 +278,11 @@ def n4_transmission(g: GateN4, k):
 def band_filter_transmission(g: GateN4, k):
     """Input -> output transmission with a drain potential 0 <= V < U.
 
-    No closed form exists here; each point is an engine evaluation with
-    channel potentials (0, 0, U, V). With V > 0 the gate passes mainly
+    Each point is an engine evaluation with channel potentials
+    (0, 0, U, V). A closed form exists, S21 = 2a^2 (w_V - w_U)/
+    ((1 + 2a^2 w_U)(1 + 2a^2 w_V)) with w_X = sqrt(1 - X/k^2), but the band
+    sweep golden pins the engine's bits, so the engine stays until that
+    golden is re-frozen. With V > 0 the gate passes mainly
     momenta in [sqrt(V), sqrt(U)] (a tunable band filter). Momenta on a
     threshold move as on a CLI grid (:func:`scattering.nudge_off_threshold`).
     """
@@ -291,6 +302,8 @@ class MomentumDistribution:
 
     #: Momenta where the density has kinks (the knots of a table).
     knots: tuple[float, ...] = ()
+    #: The value of a :meth:`constant` density, None for any other.
+    rho: float | None = None
 
     def __init__(self, density_fn, label: str):
         self._density = density_fn
@@ -299,9 +312,11 @@ class MomentumDistribution:
     @classmethod
     def constant(cls, rho: float) -> "MomentumDistribution":
         """Flat distribution (filled Fermi sea below the working range)."""
-        if rho < 0:
-            raise ValueError("density must be nonnegative")
-        return cls(lambda k: rho, f"constant({rho!r})")
+        if not 0 <= rho < np.inf:
+            raise ValueError(f"density must be finite and nonnegative, got {rho!r}")
+        dist = cls(lambda k: rho, f"constant({rho!r})")
+        dist.rho = rho
+        return dist
 
     @classmethod
     def tabulated(cls, ks, values) -> "MomentumDistribution":
@@ -309,6 +324,8 @@ class MomentumDistribution:
         vals = np.asarray(values, dtype=np.float64)
         if ks.ndim != 1 or ks.shape != vals.shape or ks.size < 2:
             raise ValueError("need matching 1-D momentum/density tables")
+        if not (np.isfinite(ks).all() and np.isfinite(vals).all()):
+            raise ValueError("momentum/density tables must be finite")
         if (vals < 0).any():
             raise ValueError("density must be nonnegative")
         if (np.diff(ks) <= 0).any():

@@ -146,7 +146,9 @@ def integrate(
     the shares sum to the target; panels that miss their share are bisected.
     A panel that spans only a few ulps in ``x`` is accepted, because
     bisection cannot resolve anything inside it. Raises NoConvergenceError
-    when a panel still misses its share after ``max_depth`` bisections.
+    when a panel still misses its share after ``max_depth`` bisections, and
+    ValueError, naming the abscissa, on the first level of panels where
+    ``f`` returns a value that is not finite.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
@@ -168,6 +170,10 @@ def integrate(
         t = centre[:, None] + radius[:, None] * _NODES
         x = end[:, None] + sign[:, None] * t * t
         fx = np.array([f(xi) for xi in x.ravel().tolist()], dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(fx))
+        if bad.size:  # a nan error estimate would bisect every panel
+            i = int(bad[0])
+            raise ValueError(f"integrand is {float(fx[i])!r} at x={float(x.flat[i])!r}")
         g = 2.0 * t * fx.reshape(x.shape)  # dx = 2t dt
         kronrod = radius * (g @ _KRONROD)
         error = np.abs(kronrod - radius * (g @ _GAUSS))

@@ -194,6 +194,75 @@ class TestFlux:
         assert 0 < len(calls) <= 400
 
 
+class TestConstantDensityFlux:
+    """V=0 reports with a constant density: closed-form J_below and a tail
+    integrated in w = sqrt(1 - U/k^2), against the quadrature over k."""
+
+    @staticmethod
+    def _plain(rho):
+        # The same density, not marked constant: flux_report integrates in k.
+        return MomentumDistribution(lambda k: rho, "plain")
+
+    @pytest.mark.parametrize("a", [0.3, FLAT_A, 0.9, 1.7, 40.0])
+    def test_below_threshold_part_is_linear_in_u(self, a):
+        us = np.linspace(0.05, 3.0, 17)
+        slopes = [flux_report(GateN4(a=a, U=u), RHO, 4.0).below_threshold / u for u in us]
+        assert np.ptp(slopes) <= 1e-15 * slopes[0]
+
+    def test_matches_quadrature_over_k(self):
+        rng = np.random.default_rng(1204)
+        near_flat = FLAT_A + rng.uniform(-1e-9, 1e-9, size=4)
+        a_values = [FLAT_A, *near_flat, *rng.uniform(0.2, 2.5, size=25)]
+        for a in a_values:
+            u = float(rng.uniform(0.1, 3.0))
+            k_f = float(np.sqrt(u) * rng.uniform(1.05, 5.0))
+            rho = float(rng.uniform(0.3, 2.0))
+            g = GateN4(a=float(a), U=u)
+            fast = flux_report(g, MomentumDistribution.constant(rho), k_f)
+            slow = flux_report(g, self._plain(rho), k_f)
+            for part in ("below_threshold", "above_threshold", "total"):
+                assert getattr(fast, part) == pytest.approx(
+                    getattr(slow, part), rel=1e-12, abs=0.0), (a, u, k_f, part)
+
+    @pytest.mark.parametrize("a", [1e-200, 1e-80, 1e60, 1e100])
+    def test_extreme_coupling_stays_finite(self, a):
+        for u, k_f, rho in ((1.0, 4.0, 1.0), (0.3, 2.5, 1.7)):
+            g = GateN4(a=a, U=u)
+            fast = flux_report(g, MomentumDistribution.constant(rho), k_f)
+            with np.errstate(over="ignore"):  # (1 + 2a^2)(1 + 2a^2 w) at a = 1e100
+                slow = flux_report(g, self._plain(rho), k_f)
+            for part in ("below_threshold", "above_threshold", "total"):
+                x = getattr(fast, part)
+                assert np.isfinite(x) and x >= 0.0
+                assert abs(x - getattr(slow, part)) <= 1e-12
+
+    @pytest.mark.parametrize("k_f", [np.inf, np.nan, 0.0])
+    def test_fermi_momentum_must_be_positive_and_finite(self, k_f):
+        calls = []
+
+        def density(k):
+            calls.append(k)
+            if len(calls) > 1000:
+                raise RuntimeError("flux_report integrated over a bad k_F")
+            return 1.0
+
+        for dist in (RHO, MomentumDistribution(density, "counted")):
+            with pytest.raises(ValueError, match="k_F"):
+                flux_report(GateN4(a=0.9, U=1.0), dist, k_f)
+
+    def test_non_finite_density_raises(self):
+        calls = []
+
+        def density(k):
+            calls.append(k)
+            if len(calls) > 1000:
+                raise RuntimeError("the quadrature kept calling a nan density")
+            return np.nan
+
+        with pytest.raises(ValueError, match="integrand"):
+            flux_report(GateN4(a=0.9, U=1.0), MomentumDistribution(density, "nan"), 3.0)
+
+
 def _sqrt_mapped_gauss_legendre(f, edges, nodes=40, panels=4):
     """Fixed-node Gauss-Legendre integral of the vectorized ``f`` over
     consecutive pieces of ``edges``. Each half piece is mapped by

@@ -222,6 +222,29 @@ class TestReports:
         assert len(data["curve"]) == 3
         assert data["linearity_deviation"] < 0.25
 
+    @pytest.mark.parametrize("option, value", [
+        ("--rho", "nan"), ("--rho", "inf"), ("--kF", "inf"), ("--kF", "nan"),
+    ])
+    def test_flux_report_rejects_non_finite_input(self, option, value, capsys, monkeypatch):
+        # Fail fast, not hang, should a non-finite input reach the quadrature.
+        calls = []
+        integrate = qstar.analysis.integrate
+
+        def budgeted(f, *args, **kwargs):
+            def counted(x):
+                calls.append(x)
+                if len(calls) > 1000:
+                    raise RuntimeError("flux quadrature ran away")
+                return f(x)
+            return integrate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(qstar.analysis, "integrate", budgeted)
+        options = {"--a": "0.9", "--U": "1", "--rho": "1", "--kF": "3", option: value}
+        argv = ["report", "flux", *[x for item in options.items() for x in item]]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert value in err
+
     def test_converge_report(self, capsys):
         code, out, _ = run_cli(
             ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",

@@ -273,6 +273,14 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             GateN4(a=1.0, U=-0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        for make in (lambda: FilterN3(a=bad, b=1.0), lambda: FilterN3(a=1.0, b=bad),
+                     lambda: FilterN3(a=1.0, b=3.0, U=bad), lambda: GateN4(a=bad),
+                     lambda: GateN4(a=1.0, U=bad), lambda: GateN4(a=1.0, U=1.0, V=bad)):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
     def test_sharp_peak_flag(self):
         assert FilterN3(a=1.0, b=3.0).sharp_peak
         assert FilterN3(a=1.0, b=3.0).peak_sharpness == 3.0
@@ -286,7 +294,13 @@ class TestParameterValidation:
 
 class TestMomentumDistribution:
     def test_constant(self):
-        assert MomentumDistribution.constant(2.0).density(0.7) == 2.0
+        dist = MomentumDistribution.constant(2.0)
+        assert dist.density(0.7) == 2.0
+        assert dist.rho == 2.0
+
+    def test_only_a_constant_density_exposes_rho(self):
+        assert MomentumDistribution.tabulated([0.0, 1.0], [1.0, 1.0]).rho is None
+        assert MomentumDistribution(lambda k: 1.0, "plain").rho is None
 
     def test_tabulated_interpolates(self):
         dist = MomentumDistribution.tabulated([0.0, 1.0], [0.0, 2.0])
@@ -299,3 +313,12 @@ class TestMomentumDistribution:
             MomentumDistribution.tabulated([0.0, 1.0], [0.5, -0.5])
         with pytest.raises(ValueError):
             MomentumDistribution.tabulated([1.0, 0.0], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MomentumDistribution.constant(bad)
+        with pytest.raises(ValueError, match="finite"):
+            MomentumDistribution.tabulated([0.0, 1.0], [0.5, bad])
+        with pytest.raises(ValueError, match="finite"):
+            MomentumDistribution.tabulated([0.0, bad], [0.5, 0.5])

@@ -1,9 +1,14 @@
-"""Flux reports against ``golden/flux_reports.json``.
+"""Flux reports against ``golden/flux_reports.json`` and
+``golden/flux_closed_form.json``.
 
-Each case holds its input (``argv`` of ``qstar report flux`` or the
-arguments of a library ``flux_report`` with a tabulated density) and the
+Each case of the first holds its input (``argv`` of ``qstar report flux`` or
+the arguments of a library ``flux_report`` with a tabulated density) and the
 output frozen at commit 581fc17. Numbers must agree to 1e-12 relative; the
 ``tolerances`` block and every other field must be equal.
+
+The second holds 40-digit constant-density gate fluxes written by
+``golden/make_flux_reference.py`` (mpmath); both parts must agree to 1e-13
+relative.
 """
 
 import json
@@ -14,10 +19,10 @@ import pytest
 from qstar import GateN4, MomentumDistribution, flux_report
 from qstar.cli import main
 
-CASES = json.loads(
-    (Path(__file__).resolve().parent / "golden" / "flux_reports.json").read_text()
-)["cases"]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CASES = json.loads((GOLDEN / "flux_reports.json").read_text())["cases"]
 REL = 1e-12
+REFERENCE = json.loads((GOLDEN / "flux_closed_form.json").read_text())["cases"]
 
 
 def _compare(fresh, frozen, where):
@@ -55,3 +60,12 @@ def test_flux_report_matches_golden(case, capsys):
         fresh = {"total": rep.total, "below_threshold": rep.below_threshold,
                  "above_threshold": rep.above_threshold}
     _compare(fresh, case["output"], case["name"])
+
+
+@pytest.mark.parametrize("case", REFERENCE, ids=lambda c: f"a={c['a']!r}-U={c['U']!r}")
+def test_constant_density_flux_matches_40_digit_reference(case):
+    rep = flux_report(GateN4(a=case["a"], U=case["U"]),
+                      MomentumDistribution.constant(case["rho"]), case["k_F"])
+    for part in ("below_threshold", "above_threshold"):
+        want = float(case[part])
+        assert abs(getattr(rep, part) - want) <= 1e-13 * want, (part, getattr(rep, part), want)

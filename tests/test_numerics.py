@@ -144,6 +144,22 @@ class TestIntegrate:
         with pytest.raises(NoConvergenceError):
             integrate(nasty, 0.0, 1.0, tol=Tolerance(1e-14, 0.0), max_depth=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_integrand_raises_at_once(self, bad):
+        # A nan error estimate fails every panel, so a quadrature that kept
+        # bisecting would call f without end; stop the test after 1,000.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("integrate kept calling a non-finite integrand")
+            return bad if x > 0.25 else x
+
+        with pytest.raises(ValueError, match=r"integrand is .* at x=0\.[0-9]"):
+            integrate(f, 0.0, 1.0, breakpoints=[0.5])
+        assert len(calls) <= 60
+
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             Tolerance(0.0, 0.0)
