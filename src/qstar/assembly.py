@@ -2,10 +2,25 @@
 
 A compound graph has delta-coupling vertices, short internal edges (length
 and optional accumulated magnetic phase), and external leads with per-line
-potentials. ``compound_smatrix`` solves the full wave-matching system: one
-(alpha, beta) amplitude pair per internal edge, one outgoing amplitude per
-lead, one boundary value per vertex, matched by continuity and
-Kirchhoff-with-strength rows.
+potentials. ``compound_smatrix`` solves it by vertex admittance, with one
+unknown psi_v per vertex (Kostrykin and Schrader, J. Phys. A 32 (1999) 595;
+Kottos and Smilansky, Ann. Phys. 274 (1999) 76). On an edge u -> v of length
+l and phase phi, the wave at momentum k = sqrt(E) is fixed by its end values,
+and its outward derivatives are
+
+    at u:  k/sin(kl) (e^{-i phi} psi_v - cos(kl) psi_u),
+    at v:  k/sin(kl) (e^{+i phi} psi_u - cos(kl) psi_v).
+
+Row v of the system is Kirchhoff's rule at v: the outward derivatives sum
+to the strength times psi_v. A lead j at v, with momentum k_j, adds i k_j to
+the diagonal of row v and 2i sqrt(k_j) to incoming column j of the right-hand
+side, and S_{j,in} = sqrt(k_j) psi_{v(j)} - delta_{j,in}. An edge with
+kl > pi/2 and |sin kl| < 1/2, near a zero of sin(kl), is first split into
+ceil(kl/(pi/2)) equal pieces by free vertices (strength 0), so the
+system stays regular there; the rule is fixed. What still raises
+SingularSystemError is a true resonance: a state of the finite graph that
+vanishes at every lead vertex, such as two equal edges between two vertices
+at kl = m pi.
 
 ``build_recipe`` emits the chain that reproduces a device vertex in the
 d -> 0 limit (Cheon, Exner and Turek, Ann. Phys. 325 (2010) 548), read from
@@ -15,9 +30,10 @@ a negative entry carries phase pi on that edge ("magnetic" variant), or
 instead becomes two d/(2|t|) halves around a delta of strength -8|t|/d, with
 both end strengths lowered by 2|t|/d ("v5-delta" variant). The strengths are
 sum_nu |t|(|t|-1)/d on v<mu+1> and (1 - sum_mu |t|)/d on v<m+nu+1>. The
-chains converge at first order in d when m = 1 or the rows of T are
-orthogonal, as for both devices; with non-orthogonal rows they do not
-converge.
+chains converge to T's S-matrix at first order in d when m = 1 or the rows
+of T are orthogonal, as for both devices. With non-orthogonal rows they
+still converge at first order, but to the S-matrix of another vertex, a
+distance of order 1 away.
 """
 
 from __future__ import annotations
@@ -25,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import json
+import math
 
 import numpy as np
 
@@ -103,81 +120,63 @@ class CompoundGraph:
         return len(self.lines)
 
 
+#: Edges with kl above this and |sin kl| < 1/2 are split (module docstring).
+_HALF_PI = 0.5 * math.pi
+
+
 def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     """Exact S-matrix of the compound graph at energy E > 0.
 
-    Internal edges are potential-free (momentum sqrt(E)); lead j carries
-    momentum sqrt(E - U_j) on the principal branch. The assembled linear
-    system is solved for all incoming lines at once. Raises
-    SingularSystemError at a discrete resonance of the finite structure.
+    Internal edges are potential-free (momentum k = sqrt(E)); lead j carries
+    momentum k_j = sqrt(E - U_j) on the principal branch. The vertex
+    admittance system of the module docstring, with one unknown per vertex
+    and per free vertex that splits an edge, is solved for all incoming
+    lines at once. Raises SingularSystemError, with the solver's pivot,
+    floor and column, at a discrete resonance of the finite structure.
     """
     n = graph.n_lines
     if n < 2:
         raise InvalidParameterError("need at least two external lines")
     channels = ChannelSet(n, tuple(line.U for line in graph.lines), float(energy))
     channels.assert_evaluable()
-    k_int = np.sqrt(channels.energy)
-    k_ext = channels.momenta()
-    sqrt_k = np.sqrt(k_ext)
+    k = float(np.sqrt(channels.energy))
+    k_lines = channels.momenta()
+    sqrt_k = np.sqrt(k_lines)
 
-    v_index = {v.id: i for i, v in enumerate(graph.vertices)}
-    n_edges = len(graph.edges)
-    n_vert = len(graph.vertices)
-    size = 2 * n_edges + n + n_vert
-    col_alpha = lambda e: 2 * e
-    col_beta = lambda e: 2 * e + 1
-    col_s = lambda j: 2 * n_edges + j
-    col_phi = lambda v: 2 * n_edges + n + v
+    index = {v.id: i for i, v in enumerate(graph.vertices)}
+    size = len(graph.vertices)
+    ends, lengths, phases = [], [], []
+    for edge in graph.edges:
+        kl = k * edge.length
+        pieces = math.ceil(kl / _HALF_PI) if kl > _HALF_PI and abs(math.sin(kl)) < 0.5 else 1
+        path = [index[edge.src], *range(size, size + pieces - 1), index[edge.dst]]
+        size += pieces - 1
+        ends += zip(path, path[1:])
+        lengths += [edge.length / pieces] * pieces
+        phases += [edge.phase] + [0.0] * (pieces - 1)
 
     lhs = np.zeros((size, size), dtype=np.complex128)
+    if ends:
+        src, dst = np.array(ends).T
+        kl = k * np.array(lengths)
+        y = k / np.sin(kl)
+        across = y * np.exp(-1j * np.array(phases))
+        np.add.at(lhs, (src, dst), across)
+        np.add.at(lhs, (dst, src), across.conj())
+        np.add.at(lhs, (src, src), -y * np.cos(kl))
+        np.add.at(lhs, (dst, dst), -y * np.cos(kl))
+    lhs[np.diag_indices(len(graph.vertices))] -= [v.strength for v in graph.vertices]
+    at = np.array([index[line.vertex] for line in graph.lines])
+    np.add.at(lhs, (at, at), 1j * k_lines)
     rhs = np.zeros((size, n), dtype=np.complex128)
-    row = 0
-
-    # Edge endpoint values: alpha + beta = phi(src);
-    # exp(i*phase) * (alpha e^{ikl} + beta e^{-ikl}) = phi(dst).
-    for e, edge in enumerate(graph.edges):
-        lhs[row, col_alpha(e)] = 1.0
-        lhs[row, col_beta(e)] = 1.0
-        lhs[row, col_phi(v_index[edge.src])] = -1.0
-        row += 1
-        omega = np.exp(1j * edge.phase)
-        phase_out = np.exp(1j * k_int * edge.length)
-        lhs[row, col_alpha(e)] = omega * phase_out
-        lhs[row, col_beta(e)] = omega / phase_out
-        lhs[row, col_phi(v_index[edge.dst])] = -1.0
-        row += 1
-
-    # Lead values: (delta_incoming + s_j)/sqrt(k_j) = phi(vertex).
-    for j, line in enumerate(graph.lines):
-        lhs[row, col_s(j)] = 1.0 / sqrt_k[j]
-        lhs[row, col_phi(v_index[line.vertex])] = -1.0
-        rhs[row, j] = -1.0 / sqrt_k[j]
-        row += 1
-
-    # Kirchhoff rows: sum of outward (covariant) derivatives equals
-    # strength times the vertex value.
-    for v, vert in enumerate(graph.vertices):
-        lhs[row + v, col_phi(v)] = -vert.strength
-    for j, line in enumerate(graph.lines):
-        r = row + v_index[line.vertex]
-        lhs[r, col_s(j)] += 1j * sqrt_k[j]
-        rhs[r, j] += 1j * sqrt_k[j]
-    for e, edge in enumerate(graph.edges):
-        r_src = row + v_index[edge.src]
-        lhs[r_src, col_alpha(e)] += 1j * k_int
-        lhs[r_src, col_beta(e)] += -1j * k_int
-        omega = np.exp(1j * edge.phase)
-        phase_out = np.exp(1j * k_int * edge.length)
-        r_dst = row + v_index[edge.dst]
-        lhs[r_dst, col_alpha(e)] += -1j * k_int * omega * phase_out
-        lhs[r_dst, col_beta(e)] += 1j * k_int * omega / phase_out
+    rhs[at, range(n)] = 2j * sqrt_k
 
     try:
-        solution = solve_linear(lhs, rhs)
+        psi = solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
-        raise SingularSystemError(float(energy), str(exc)) from exc
-    s = solution[2 * n_edges : 2 * n_edges + n, :].copy()
-    return ScatteringMatrix(S=s, k=float(k_int), open_mask=channels.open_mask())
+        raise SingularSystemError(float(energy), exc) from exc
+    s = sqrt_k[:, None] * psi[at] - np.eye(n)
+    return ScatteringMatrix(S=s, k=k, open_mask=channels.open_mask())
 
 
 MAGNETIC = "magnetic"

@@ -9,7 +9,8 @@ Subcommands:
 
 Output is deterministic: identical invocations produce byte-identical
 files. CSV rows use CRLF line endings and 17-significant-digit floats.
-Exit codes: 0 ok, 2 usage/config error, 3 numerical failure.
+Exit codes: 0 ok, 2 usage/config error, 3 numerical failure (a qstar
+error or a float overflow).
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError, InvalidParameterError) as exc:
         print(f"qstar: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except QStarError as exc:
+    except (QStarError, OverflowError) as exc:
         print(f"qstar: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

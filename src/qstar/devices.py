@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
 from .exceptions import InvalidBandError
-from .scattering import ChannelSet, nudge_off_threshold, smatrix
+# No formula here calls ``smatrix``; the binding stays because perfbench's
+# tracer self-test reads ``qstar.devices.smatrix``.
+from .scattering import ChannelSet, nudge_off_threshold, smatrix  # noqa: F401
 from .vertex import BoundaryCondition, make_st_form
 
 #: b/a ratio beyond which the three-line filter is flagged sharp-peaked.
@@ -187,13 +188,6 @@ class GateN4(_StarDevice):
         w = sqrt(1 - U/k^2)."""
         return (1 + 2 * self.a**2) * (1 + 2 * self.a**2 * w)
 
-    @cached_property
-    def _band_bc(self) -> BoundaryCondition:
-        """Boundary condition of the band mode, built once per gate because
-        a band-mode flux report evaluates one momentum per call of
-        :func:`band_filter_transmission`."""
-        return self.boundary_condition()
-
 
 def _branch(U: float, k: np.ndarray) -> np.ndarray:
     """sqrt(1 - U/k^2) continued below threshold (principal branch)."""
@@ -276,24 +270,24 @@ def n4_transmission(g: GateN4, k):
 
 
 def band_filter_transmission(g: GateN4, k):
-    """Input -> output transmission with a drain potential 0 <= V < U.
+    """Input -> output transmission |S21|^2 with a drain potential 0 <= V < U.
 
-    Each point is an engine evaluation with channel potentials
-    (0, 0, U, V). A closed form exists, S21 = 2a^2 (w_V - w_U)/
-    ((1 + 2a^2 w_U)(1 + 2a^2 w_V)) with w_X = sqrt(1 - X/k^2), but the band
-    sweep golden pins the engine's bits, so the engine stays until that
-    golden is re-frozen. With V > 0 the gate passes mainly
-    momenta in [sqrt(V), sqrt(U)] (a tunable band filter). Momenta on a
-    threshold move as on a CLI grid (:func:`scattering.nudge_off_threshold`).
+    S21 = 2a^2 (w_V - w_U)/((1 + 2a^2 w_U)(1 + 2a^2 w_V)) with
+    w_X = sqrt(1 - X/k^2) on the principal branch, where the difference is
+    written as ((U - V)/k^2)/(w_U + w_V) so that it does not cancel for
+    k >> sqrt(U). With V > 0 the gate passes mainly momenta in
+    [sqrt(V), sqrt(U)] (a tunable band filter). Momenta on a threshold move
+    as on a CLI grid (:func:`scattering.nudge_off_threshold`). Band-mode
+    flux reports call this; the CLI band sweep does not, it solves the
+    engine once per grid point for all four columns.
     """
     if not 0 <= g.V < g.U:
         raise InvalidBandError(f"need 0 <= V < U, got V={g.V!r}, U={g.U!r}")
-    bc = g._band_bc
     k_arr = nudge_off_threshold(np.atleast_1d(k), g.potentials)
-    out = np.empty_like(k_arr)
-    for idx, kk in enumerate(k_arr):
-        sm = smatrix(bc, g.channels(float(kk)))
-        out[idx] = np.abs(sm.S[1, 0]) ** 2
+    beta = 2 * g.a**2
+    w_u, w_v = _branch(g.U, k_arr), _branch(g.V, k_arr)
+    s21 = beta * ((g.U - g.V) / k_arr**2) / ((w_u + w_v) * (1 + beta * w_u) * (1 + beta * w_v))
+    out = np.abs(s21) ** 2
     return float(out[0]) if np.asarray(k).ndim == 0 else out
 
 

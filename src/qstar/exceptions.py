@@ -10,7 +10,14 @@ class DimensionMismatchError(QStarError, ValueError):
 
 
 class SingularMatrixError(QStarError, ArithmeticError):
-    """A pivot fell below the singularity floor during elimination."""
+    """A pivot fell below the singularity floor during elimination;
+    ``pivot``, ``floor`` and ``column`` say where (None when not given)."""
+
+    def __init__(self, message, pivot=None, floor=None, column=None):
+        super().__init__(message)
+        self.pivot = pivot
+        self.floor = floor
+        self.column = column
 
 
 class NoConvergenceError(QStarError, ArithmeticError):
@@ -22,8 +29,18 @@ class NoSignChangeError(QStarError, ValueError):
 
 
 class AtThresholdError(QStarError, ValueError):
-    """Energy coincides with a channel threshold, where the momentum
-    matrix is singular; evaluate at a nudged momentum instead."""
+    """Energy coincides with the threshold U of line ``line`` (1-based),
+    where the momentum matrix is singular; evaluate at a nudged momentum
+    instead."""
+
+    def __init__(self, energy, line, U):
+        self.energy = energy
+        self.line = line
+        self.U = U
+        super().__init__(
+            f"energy {energy!r} sits on the threshold of line {line} (U={U!r}); "
+            "nudge the momentum instead"
+        )
 
 
 class ClosedIncomingChannelError(QStarError, ValueError):
@@ -47,11 +64,16 @@ class InvalidParameterError(QStarError, ValueError):
 
 
 class SingularSystemError(QStarError, ArithmeticError):
-    """The wave-matching system is singular (discrete resonance of the
-    finite structure) at the requested energy; ``detail`` is the solver's
-    account of the failed pivot."""
+    """The vertex system of a compound graph is singular at the requested
+    energy: a discrete resonance of the finite structure, a bound state
+    that the leads do not see. ``detail`` is the solver's account of the
+    failed pivot, a SingularMatrixError whose ``pivot``, ``floor`` and
+    ``column`` this error carries next to ``energy`` (None without one)."""
 
     def __init__(self, energy, detail=None):
         self.energy = energy
+        self.pivot = getattr(detail, "pivot", None)
+        self.floor = getattr(detail, "floor", None)
+        self.column = getattr(detail, "column", None)
         message = f"wave-matching system singular at E={energy!r}"
         super().__init__(f"{message}: {detail}" if detail else message)

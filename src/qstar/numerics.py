@@ -69,7 +69,8 @@ def solve_linear(a, b) -> np.ndarray:
         best = abs(a[p, k])
         if best < floor or best == 0.0:
             raise SingularMatrixError(
-                f"pivot {best:.3e} below floor {floor:.3e} at column {k}"
+                f"pivot {best:.3e} below floor {floor:.3e} at column {k}",
+                pivot=float(best), floor=float(floor), column=k,
             )
         if p != k:
             a[[k, p], k:] = a[[p, k], k:]

@@ -92,10 +92,7 @@ class ChannelSet:
             raise ValueError(f"energy must be positive, got {self.energy!r}")
         for i, u in enumerate(self.potentials):
             if abs(self.energy - u) < THRESHOLD_TOL * max(abs(self.energy), abs(u)):
-                raise AtThresholdError(
-                    f"energy {self.energy!r} sits on the threshold of line "
-                    f"{i + 1} (U={u!r}); nudge the momentum instead"
-                )
+                raise AtThresholdError(self.energy, i + 1, u)
 
 
 @dataclass(frozen=True)

@@ -263,6 +263,55 @@ class TestCompoundSmatrix:
         )
         assert str(SingularSystemError(2.0)) == "wave-matching system singular at E=2.0"
 
+    def test_singular_error_carries_attributes(self):
+        for energy in (np.pi**2, (2 * np.pi) ** 2):
+            with pytest.raises(SingularSystemError) as info:
+                compound_smatrix(_resonant_ring(), energy)
+            err = info.value
+            assert err.energy == energy
+            assert isinstance(err.column, int)
+            assert 0.0 <= err.pivot < err.floor
+            assert f"pivot {err.pivot:.3e} below floor {err.floor:.3e} at column {err.column}" in str(err)
+        bare = SingularSystemError(2.0)
+        assert (bare.energy, bare.pivot, bare.floor, bare.column) == (2.0, None, None, None)
+
+    def test_at_threshold_error_carries_attributes(self):
+        g = GateN4(a=1.0, U=1.3)
+        with pytest.raises(AtThresholdError) as info:
+            smatrix(g.boundary_condition(), g.channels(np.sqrt(1.3)))
+        err = info.value
+        assert (err.energy, err.line, err.U) == (np.sqrt(1.3) ** 2, 3, 1.3)
+        assert str(err) == (
+            f"energy {err.energy!r} sits on the threshold of line 3 (U=1.3); "
+            "nudge the momentum instead"
+        )
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_edge_at_a_multiple_of_pi_is_not_a_resonance(self, m):
+        # One edge of length 1 between two delta vertices, at k l = m pi,
+        # against the same graph with that edge cut by a free vertex at
+        # 0.3, where no piece has sin(k l) near 0.
+        def graph(cut):
+            vertices = [GraphVertex("a", 0.7), GraphVertex("b", -1.9)]
+            if cut:
+                vertices.append(GraphVertex("c", 0.0))
+                edges = (InternalEdge("a", "c", 0.3, 0.4), InternalEdge("c", "b", 0.7))
+            else:
+                edges = (InternalEdge("a", "b", 1.0, 0.4),)
+            lines = (ExternalLine("a", 0.0), ExternalLine("b", 0.0), ExternalLine("b", 2.0))
+            return CompoundGraph(tuple(vertices), lines, edges)
+
+        energy = (m * np.pi) ** 2
+        sm = compound_smatrix(graph(False), energy)
+        assert sm.unitarity_defect() < 1e-12
+        assert np.abs(sm.S - compound_smatrix(graph(True), energy).S).max() < 1e-12
+        free = CompoundGraph(
+            (GraphVertex("a", 0.0), GraphVertex("b", 0.0)),
+            (ExternalLine("a", 0.0), ExternalLine("b", 0.0)),
+            (InternalEdge("a", "b", 1.0),),
+        )
+        assert abs(compound_smatrix(free, energy).S[1, 0]) == pytest.approx(1.0, abs=1e-12)
+
     def test_engine_guard_matches_star_smatrix(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)
         graph = build_recipe(DeltaChainRecipe(f, d=0.01))
@@ -320,6 +369,31 @@ class TestConvergence:
         exact = smatrix(f.boundary_condition(), f.channels(0.5))
         dist = _open_block_distance(approx, exact)
         assert dist < 0.02
+
+
+class TestSmallSeparation:
+    """The three recipes as d -> 0, against the device S-matrix."""
+
+    KS = (0.5, 1.5, 2.0, 5.0)
+    TARGETS = [
+        (FilterN3(a=1.2, b=2.0, U=1.0), MAGNETIC),
+        (GateN4(a=0.8, U=1.0), MAGNETIC),
+        (GateN4(a=0.8, U=1.0), V5_DELTA),
+    ]
+    IDS = ["n3-magnetic", "n4-magnetic", "n4-v5-delta"]
+
+    @pytest.mark.parametrize("target,variant", TARGETS, ids=IDS)
+    def test_first_order_down_to_1e_7(self, target, variant):
+        ds = [10.0**-m for m in range(3, 8)]
+        errors = convergence_study(target, self.KS, ds, variant).errors
+        orders = np.log10(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all((orders >= 0.9) & (orders <= 1.1)), orders
+
+    @pytest.mark.parametrize("target,variant", TARGETS, ids=IDS)
+    def test_nothing_raises_below_1e_8(self, target, variant):
+        ds = [10.0**-m for m in range(8, 13)]
+        errors = convergence_study(target, self.KS, ds, variant).errors
+        assert max(errors) < 1e-3, errors
 
 
 class TestGraphValidation:

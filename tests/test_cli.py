@@ -190,6 +190,23 @@ class TestReports:
         assert out == ""
         assert "V=0" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["report", "pole", "--device", "n4", "--a", "1e100", "--U", "1"],
+        ["sweep", "--device", "n4", "--a", "1e100", "--U", "1", "--k", "0.5:2:3"],
+    ], ids=["pole", "sweep"])
+    def test_overflow_is_numerical_failure(self, argv, capsys):
+        # a**4 overflows as a Python float; in the sweep, numpy's product in
+        # the gate denominator has already warned about the overflow.
+        if argv[0] == "sweep":
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                code, out, err = run_cli(argv, capsys)
+        else:
+            code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qstar: numerical failure: ")
+        assert "Traceback" not in err
+
     def test_bandwidth_report(self, capsys):
         code, out, _ = run_cli(
             ["report", "bandwidth", "--a", "1", "--b", "3", "--U", "1"], capsys

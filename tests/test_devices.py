@@ -15,6 +15,8 @@ from qstar import (
     smatrix,
 )
 
+from conftest import rng_for
+
 FLAT_A = 1 / np.sqrt(2)
 
 
@@ -230,6 +232,30 @@ class TestBandFilter:
     def test_low_momentum_suppressed(self):
         g = GateN4(a=FLAT_A, U=1.0, V=0.25)
         assert band_filter_transmission(g, 0.1) < band_filter_transmission(g, 0.7)
+
+    def test_closed_form_matches_engine(self):
+        # Momenta below sqrt(V), between the thresholds and above sqrt(U).
+        rng = rng_for("band-closed-form")
+        for _ in range(40):
+            a = float(rng.uniform(0.2, 2.5))
+            U = float(rng.uniform(0.1, 3.0))
+            V = float(rng.uniform(0.0, 0.95 * U))
+            g = GateN4(a=a, U=U, V=V)
+            ks = np.concatenate([
+                np.sqrt(V) * rng.uniform(0.05, 0.999, 3),
+                np.sqrt(V) + (np.sqrt(U) - np.sqrt(V)) * rng.uniform(0.001, 0.999, 3),
+                np.sqrt(U) * rng.uniform(1.001, 5.0, 3),
+            ])
+            # Beyond ~5 sqrt(U) the transmission falls below 1e-8 and the
+            # engine's S21, a difference of order-1 terms, loses digits: up
+            # to 1.2e-11 relative near 20 sqrt(U) against a 40-digit value,
+            # where the closed form stays within 1e-15.
+            engine = np.array([
+                abs(smatrix(g.boundary_condition(), g.channels(k)).S[1, 0]) ** 2 for k in ks
+            ])
+            np.testing.assert_allclose(
+                band_filter_transmission(g, ks), engine, rtol=1e-11, atol=0
+            )
 
     def test_invalid_band(self):
         with pytest.raises(InvalidBandError):

@@ -8,13 +8,25 @@ and per-line momenta k_i = sqrt(E - U_i) on the principal branch,
 
 where T~^H conjugates T but not the momentum ratio, so the formula also
 holds for closed (evanescent) lines. It shares no code with the engine,
-which solves (A K^-1 + i B K) S = -(A K^-1 - i B K).
+which solves (A K^-1 + i B K) S = -(A K^-1 - i B K). The delta chains of
+``build_recipe`` are checked against it too, on stand-in targets with a
+random real T.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from qstar import ChannelSet, make_st_form, smatrix
+from qstar import (
+    ChannelSet,
+    DeltaChainRecipe,
+    build_recipe,
+    compound_smatrix,
+    make_st_form,
+    smatrix,
+)
+from qstar.assembly import MAGNETIC, V5_DELTA
 
 from conftest import random_channels, rng_for
 
@@ -80,3 +92,59 @@ def test_scale_invariant_without_potentials(momenta):
         want = st_oracle(T, (0.0,) * n, 1.0)
         assert np.abs(S1 - S2).max() <= TOL
         assert np.abs(S1 - want).max() <= TOL
+
+
+@dataclass(frozen=True)
+class _Target:
+    """Stand-in device: ``build_recipe`` reads only these two fields."""
+
+    coupling: tuple
+    potentials: tuple
+
+
+def _chain_distances(T, ch, variant, ds):
+    """Largest |S_chain - S_oracle| of the recipe chain of T at each d."""
+    target = _Target(tuple(map(tuple, T.tolist())), ch.potentials)
+    want = st_oracle(T, ch.potentials, ch.energy)
+    chains = [compound_smatrix(build_recipe(DeltaChainRecipe(target, d, variant)), ch.energy).S
+              for d in ds]
+    return [float(np.abs(S - want).max()) for S in chains], chains
+
+
+def _orthogonal_rows(rng, m, p):
+    """m x p block with orthogonal rows of random norms (any row if m = 1)."""
+    q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+    return rng.uniform(0.3, 2.0, size=(m, 1)) * q[:m]
+
+
+CHAIN_D = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+@pytest.mark.parametrize("variant", [MAGNETIC, V5_DELTA])
+def test_chain_of_orthogonal_rows_converges_at_first_order(variant):
+    rng = rng_for(f"st-oracle-chain-{variant}")
+    for case in range(8):
+        n = int(rng.integers(2, 8))
+        m = 1 if case < 3 else int(rng.integers(1, n // 2 + 1))
+        T = _orthogonal_rows(rng, m, n - m)
+        ch = random_channels(rng, n)
+        errors, _ = _chain_distances(T, ch, variant, CHAIN_D)
+        # C from the d = 1e-2 and 1e-3 rows; a 10% margin absorbs the
+        # second-order term, which raises err/d by at most 0.2% in these cases.
+        C = max(e / d for e, d in zip(errors[:2], CHAIN_D[:2]))
+        for e, d in zip(errors[2:], CHAIN_D[2:]):
+            assert e <= 1.1 * C * d, (T, ch, errors)
+
+
+def test_chain_of_non_orthogonal_rows_converges_elsewhere():
+    # The chain still converges at first order in d, but to the S-matrix of
+    # another vertex, a distance of order 1 from that of T.
+    rng = rng_for("st-oracle-chain-non-orthogonal")
+    for _ in range(6):
+        n = int(rng.integers(4, 8))
+        T = rng.uniform(-2.0, 2.0, size=(2, n - 2))
+        ch = random_channels(rng, n)
+        errors, chains = _chain_distances(T, ch, MAGNETIC, CHAIN_D)
+        steps = [float(np.abs(a - b).max()) for a, b in zip(chains, chains[1:])]
+        assert steps[2] < 0.2 * steps[0], (T, ch, steps)
+        assert min(errors) > 0.1, (T, ch, errors)
