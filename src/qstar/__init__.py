@@ -9,8 +9,8 @@ Core surface:
 - :mod:`qstar.scattering` — the S-matrix engine with evanescent-channel
   continuation, probabilities, final-state waves.
 - :mod:`qstar.devices` — closed-form three-line filter and four-line
-  sluice gate (flat filter at a = 1/sqrt(2), band mode with a drain
-  potential).
+  sluice gate (flat filter at a = 1/sqrt(2), band filter with a drain
+  potential), one formula per amplitude.
 - :mod:`qstar.analysis` — bandwidth, second-sheet poles, flux control.
 - :mod:`qstar.assembly` — delta-chain realizations and their exact
   wave-matching S-matrix, with convergence studies.
@@ -47,7 +47,6 @@ from .devices import (
     FilterN3,
     GateN4,
     MomentumDistribution,
-    band_filter_transmission,
     n3_amplitudes,
     n3_transmission,
     n4_amplitudes,

@@ -19,7 +19,6 @@ from .devices import (
     FilterN3,
     GateN4,
     MomentumDistribution,
-    band_filter_transmission,
     n3_transmission,
     n4_transmission,
 )
@@ -218,12 +217,11 @@ def _k_quadrature_flux(
     g: GateN4, dist: MomentumDistribution, k_F: float
 ) -> tuple[float, float]:
     """(J_below, J_above) by quadrature over k of rho(k) k P(k)."""
-    transmission = n4_transmission if g.V == 0.0 else band_filter_transmission
 
     def integrand(k: float) -> float:
         if k < 1e-20:  # rho*k*P vanishes linearly at the origin
             return 0.0
-        return dist.density(k) * k * transmission(g, float(k))
+        return dist.density(k) * k * n4_transmission(g, float(k))
 
     k_th = float(np.sqrt(g.U))
     cuts = [c for c in (np.sqrt(g.V), k_th, *dist.knots) if 0.0 < c < k_F]

@@ -44,8 +44,8 @@ def momentum_grid(lo: float, hi: float, steps: int, potentials) -> np.ndarray:
     move off it (:func:`scattering.nudge_off_threshold`)."""
     if not (lo < hi) or steps < 2:
         raise UsageError(f"invalid momentum range {lo}:{hi}:{steps}")
-    if lo <= 0:
-        raise UsageError("momenta must be positive")
+    if lo <= 0 or not np.isfinite(hi):
+        raise UsageError(f"momenta must be positive and finite, got {lo}:{hi}")
     return scattering.nudge_off_threshold(np.linspace(lo, hi, steps), potentials)
 
 

@@ -3,9 +3,10 @@
 Both are star graphs with a scale-invariant vertex, input on line 1,
 output on line 2, and a controlling potential U on line 3. The three-line
 filter (parameters a, b) passes a resonance peak pinned at the threshold
-momentum sqrt(U); the four-line gate (parameter a, plus a drain line 4)
-acts as a sluice gate, and at a = 1/sqrt(2) as a flat filter with constant
-passband transmission 1/4.
+momentum sqrt(U); the four-line gate (parameter a, plus a drain line 4
+with potential V) acts as a sluice gate, at a = 1/sqrt(2), V = 0 as a flat
+filter with constant passband transmission 1/4, and with 0 < V < U as a
+tunable band filter. One set of gate formulas holds for every V >= 0.
 
 Each device is fixed by its ``coupling``, the ST block T of its vertex as a
 tuple of real rows: [[a, b]] for the filter, [[a, a], [a, -a]] for the gate.
@@ -13,12 +14,15 @@ The boundary condition, the channels and the threshold are built from T and
 the per-line ``potentials`` in one place, and so are the delta chains of
 :mod:`qstar.assembly`.
 
-Amplitudes are evaluated with w = sqrt(1 - U/k^2) on the principal branch,
-so below threshold w = i sqrt(U/k^2 - 1) and the formulas continue
-analytically; transmission into the closed line 3 carries an explicit
-step-function cutoff. Each device writes its amplitude denominator once
-(``denominator(w)``), and each transmission is |S21|^2 of the one S21
-expression; all of them need k above ~1e-150, where U/k^2 overflows.
+Amplitudes are evaluated with w_X = sqrt(1 - X/k^2) on the principal
+branch, so below a threshold w_X = i sqrt(X/k^2 - 1) and the formulas
+continue analytically; transmission into a closed line (3, or the gate's
+drain line 4 below sqrt(V)) carries an explicit step-function cutoff. The
+formulas are finite on the thresholds themselves, so they take any k
+without the grid nudge of :func:`scattering.nudge_off_threshold`. Each
+device writes its amplitude denominator once (``denominator``), and each
+transmission is |S21|^2 of the one S21 expression; all of them need k
+above ~1e-150, where U/k^2 overflows.
 
 The same denominator with w flipped to -sqrt(1 - U/k^2) (the second sheet)
 vanishes at the resonance pole behind the threshold peak; each device also
@@ -36,7 +40,7 @@ import numpy as np
 from .exceptions import InvalidBandError
 # No formula here calls ``smatrix``; the binding stays because perfbench's
 # tracer self-test reads ``qstar.devices.smatrix``.
-from .scattering import ChannelSet, nudge_off_threshold, smatrix  # noqa: F401
+from .scattering import ChannelSet, smatrix  # noqa: F401
 from .vertex import BoundaryCondition, make_st_form
 
 #: b/a ratio beyond which the three-line filter is flagged sharp-peaked.
@@ -153,9 +157,10 @@ class GateN4(_StarDevice):
     @property
     def pole(self) -> float | None:
         """Closed-form second-sheet pole 2a^2 sqrt(U)/sqrt(4a^4 - 1), or None
-        unless a > 1/sqrt(2) and U > 0. Raises InvalidBandError for V != 0,
-        where the closed forms do not hold."""
-        _require_zero_drain(self)
+        unless a > 1/sqrt(2) and U > 0. The pole report covers the standard
+        mode only: raises InvalidBandError for V != 0."""
+        if self.V != 0.0:
+            raise InvalidBandError(f"the pole report holds only for V=0, got V={self.V!r}")
         # Discriminants within 1e-12 of critical count as poleless, as for
         # FilterN3.pole: the double closest to 1/sqrt(2) is marginally above
         # critical, and the flat gate has no pole.
@@ -183,10 +188,10 @@ class GateN4(_StarDevice):
         """Coupling block T = [[a, a], [a, -a]]."""
         return ((self.a, self.a), (self.a, -self.a))
 
-    def denominator(self, w):
-        """Amplitude denominator (1 + 2a^2)(1 + 2a^2 w) of the V=0 mode,
-        w = sqrt(1 - U/k^2)."""
-        return (1 + 2 * self.a**2) * (1 + 2 * self.a**2 * w)
+    def denominator(self, w_u, w_v=1.0):
+        """Amplitude denominator (1 + 2a^2 w_V)(1 + 2a^2 w_U), w_X =
+        sqrt(1 - X/k^2); w_V = 1 in the standard mode V = 0."""
+        return (1 + 2 * self.a**2 * w_v) * (1 + 2 * self.a**2 * w_u)
 
 
 def _branch(U: float, k: np.ndarray) -> np.ndarray:
@@ -200,10 +205,12 @@ def _quartic_open(U: float, k: np.ndarray) -> np.ndarray:
     return np.where(ratio >= 0.0, np.abs(ratio) ** 0.25, 0.0)
 
 
-def _scalarize(was_scalar: bool, *arrays):
-    if was_scalar:
-        return tuple(arr[()] for arr in arrays)
-    return arrays
+def _momenta(k):
+    """k as a float64 array, or as a numpy scalar when k is a scalar: the
+    formulas then return scalars, and scalar arithmetic is several times
+    cheaper than that of 0-d arrays (it decides the cost of a flux
+    integrand call)."""
+    return np.asarray(k, dtype=np.float64)[()]
 
 
 def _n3_s21(f: FilterN3, k: np.ndarray):
@@ -216,12 +223,11 @@ def _n3_s21(f: FilterN3, k: np.ndarray):
 
 def n3_amplitudes(f: FilterN3, k):
     """(S11, S21, S31) of the three-line filter; vectorized over k > 0."""
-    k_arr = np.asarray(k, dtype=np.float64)
-    scalar = k_arr.ndim == 0
-    s21, w, den = _n3_s21(f, k_arr)
+    k = _momenta(k)
+    s21, w, den = _n3_s21(f, k)
     s11 = (1 - f.a**2 - f.b**2 * w) / den
-    s31 = 2 * f.b * _quartic_open(f.U, k_arr) / den
-    return _scalarize(scalar, s11, s21, s31)
+    s31 = 2 * f.b * _quartic_open(f.U, k) / den
+    return s11, s21, s31
 
 
 def n3_transmission(f: FilterN3, k):
@@ -230,65 +236,50 @@ def n3_transmission(f: FilterN3, k):
     Grows on (0, sqrt(U)), peaks at the threshold, decays beyond it; one
     expression serves both sides and stays accurate as k -> 0.
     """
-    return np.abs(_n3_s21(f, np.asarray(k, dtype=np.float64))[0]) ** 2
-
-
-def _require_zero_drain(g: GateN4) -> None:
-    if g.V != 0.0:
-        raise InvalidBandError(f"closed forms hold only for V=0, got V={g.V!r}")
+    return np.abs(_n3_s21(f, _momenta(k))[0]) ** 2
 
 
 def _n4_s21(g: GateN4, k: np.ndarray):
-    """S21 = 2a^2 (1 - w)/((1 + 2a^2)(1 + 2a^2 w)) of the gate (V=0), with
-    w and the denominator the other amplitudes share."""
-    w = _branch(g.U, k)
-    den = g.denominator(w)
-    return 2 * g.a**2 * (1 - w) / den, w, den
+    """S21 = 2a^2 ((U - V)/k^2)/((w_U + w_V) D) of the gate, with w_U, w_V
+    and the denominator D the other amplitudes share.
+
+    This is 2a^2 (w_V - w_U)/D with the difference written as a quotient,
+    which does not cancel for k >> sqrt(U), sqrt(V). In the standard mode
+    V = 0 the drain line is open at every k and w_V = 1 exactly, taken
+    without a square root.
+    """
+    w_u = _branch(g.U, k)
+    w_v = _branch(g.V, k) if g.V else 1.0
+    den = g.denominator(w_u, w_v)
+    if g.V == g.U:  # S21 = 0; at k = sqrt(U) the quotient below is 0/0
+        return np.zeros_like(w_u)[()], w_u, w_v, den
+    # The quotient is w_V - w_U; D divides last, so that an overflowing D
+    # gives S21 = 0 rather than inf/inf.
+    drop = (g.U - g.V) / k**2 / (w_u + w_v)
+    return 2 * g.a**2 * drop / den, w_u, w_v, den
 
 
 def n4_amplitudes(g: GateN4, k):
-    """(S11, S21, S31, S41) of the four-line gate in the standard V=0 mode."""
-    _require_zero_drain(g)
-    k_arr = np.asarray(k, dtype=np.float64)
-    scalar = k_arr.ndim == 0
+    """(S11, S21, S31, S41) of the four-line gate for any drain potential
+    V >= 0; vectorized over k > 0."""
+    k = _momenta(k)
     a = g.a
-    s21, w, den = _n4_s21(g, k_arr)
-    s11 = (1 - 4 * a**4 * w) / den
-    s31 = 2 * a * (1 + 2 * a**2) * _quartic_open(g.U, k_arr) / den
-    s41 = (2 * a + 4 * a**3 * w) / den
-    return _scalarize(scalar, s11, s21, s31, s41)
+    s21, w_u, w_v, den = _n4_s21(g, k)
+    s11 = (1 - 4 * a**4 * w_u * w_v) / den
+    s31 = 2 * a * (1 + 2 * a**2 * w_v) * _quartic_open(g.U, k) / den
+    s41 = (2 * a + 4 * a**3 * w_u) * _quartic_open(g.V, k) / den
+    return s11, s21, s31, s41
 
 
 def n4_transmission(g: GateN4, k):
-    """Input -> output transmission |S21|^2 of the gate (V=0).
+    """Input -> output transmission |S21|^2 of the gate.
 
-    Constant 1/4 below threshold in the flat-filter mode a = 1/sqrt(2);
-    one expression serves both sides and stays accurate as k -> 0.
+    Constant 1/4 below threshold in the flat-filter mode a = 1/sqrt(2),
+    V = 0; with 0 < V < U the gate passes mainly momenta in
+    [sqrt(V), sqrt(U)] (a tunable band filter). One expression serves
+    every k, stays accurate as k -> 0 and is finite on both thresholds.
     """
-    _require_zero_drain(g)
-    return np.abs(_n4_s21(g, np.asarray(k, dtype=np.float64))[0]) ** 2
-
-
-def band_filter_transmission(g: GateN4, k):
-    """Input -> output transmission |S21|^2 with a drain potential 0 <= V < U.
-
-    S21 = 2a^2 (w_V - w_U)/((1 + 2a^2 w_U)(1 + 2a^2 w_V)) with
-    w_X = sqrt(1 - X/k^2) on the principal branch, where the difference is
-    written as ((U - V)/k^2)/(w_U + w_V) so that it does not cancel for
-    k >> sqrt(U). With V > 0 the gate passes mainly momenta in
-    [sqrt(V), sqrt(U)] (a tunable band filter). Momenta on a threshold move
-    as on a CLI grid (:func:`scattering.nudge_off_threshold`). Band-mode
-    flux reports call this; the CLI band sweep does not, it solves the
-    engine once per grid point for all four columns.
-    """
-    if not 0 <= g.V < g.U:
-        raise InvalidBandError(f"need 0 <= V < U, got V={g.V!r}, U={g.U!r}")
-    k_arr = nudge_off_threshold(np.atleast_1d(k), g.potentials)
-    beta = 2 * g.a**2
-    w_u, w_v = _branch(g.U, k_arr), _branch(g.V, k_arr)
-    s21 = beta * ((g.U - g.V) / k_arr**2) / ((w_u + w_v) * (1 + beta * w_u) * (1 + beta * w_v))
-    out = np.abs(s21) ** 2
-    return float(out[0]) if np.asarray(k).ndim == 0 else out
+    return np.abs(_n4_s21(g, _momenta(k))[0]) ** 2
 
 
 class MomentumDistribution:

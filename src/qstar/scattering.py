@@ -73,9 +73,13 @@ class ChannelSet:
 
     @classmethod
     def at_momentum(cls, potentials, k: float) -> "ChannelSet":
-        """Channels at reference momentum k (energy k^2)."""
+        """Channels at reference momentum k (energy k^2); k must be positive
+        and finite, as k^2 would hide the sign of a negative one."""
+        k = float(k)
+        if not 0 < k < np.inf:
+            raise ValueError(f"momentum must be positive and finite, got {k!r}")
         pots = tuple(float(u) for u in potentials)
-        return cls(len(pots), pots, float(k) ** 2)
+        return cls(len(pots), pots, k**2)
 
     def momenta(self) -> np.ndarray:
         """Complex momenta k_i = sqrt(E - U_i), principal branch."""

@@ -148,6 +148,41 @@ class TestSweep:
         assert out == ""
         assert err == f"qstar: --b applies only to {flag} n3\n"
 
+    def test_band_sweep_on_the_engine_matches_the_closed_form(self, capsys):
+        # The band golden's grid. Elsewhere the gap is at most 1.2e-13
+        # relative; two points sit on sqrt(V) and sqrt(U) and are nudged to
+        # t(1 + 1e-8), where the engine's k_i = sqrt(E - U_i) inherits the
+        # rounding of E = k^2 (1.1e-9 relative in P31 and P41, 6.7e-13 in
+        # R11 and P21).
+        g = qstar.GateN4(a=0.7071067811865476, U=1.0, V=0.25)
+        code, out, _ = run_cli(
+            ["sweep", "--device", "n4", "--a", "0.7071067811865476", "--U", "1",
+             "--V", "0.25", "--k", "0.05:5:199"],
+            capsys,
+        )
+        assert code == 0
+        header, cols = parse_csv(out)
+        s11, s21, s31, s41 = qstar.n4_amplitudes(g, cols["k"])
+        nudged = np.isin(cols["k"], [0.5 * (1 + 1e-8), 1 + 1e-8])
+        assert nudged.sum() == 2
+        for name, s in zip(("R11", "P21", "P31", "P41"), (s11, s21, s31, s41)):
+            closed = np.abs(s) ** 2
+            np.testing.assert_allclose(cols[name][~nudged], closed[~nudged],
+                                       rtol=1e-12, atol=0, err_msg=name)
+            np.testing.assert_allclose(cols[name][nudged], closed[nudged],
+                                       rtol=2e-9, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--device", "n3", "--a", "1", "--b", "3", "--k", "0.5:inf:3"],
+        ["smatrix", "--device", "n4", "--a", "1", "--k", "-1.5"],
+        ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
+         "--k-grid=-1,2"],
+    ], ids=["sweep-inf", "smatrix-negative", "converge-negative"])
+    def test_momenta_must_be_positive_and_finite(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert "positive and finite" in err
+
     def test_grid_nudges_threshold_point(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--device", "n4", "--a", "0.7071067811865476", "--U", "1",
@@ -238,6 +273,21 @@ class TestReports:
         data = json.loads(out)
         assert len(data["curve"]) == 3
         assert data["linearity_deviation"] < 0.25
+
+    @pytest.mark.parametrize("V", ["1", "1.5"])
+    def test_flux_report_with_drain_at_or_above_control(self, V, capsys):
+        # With V = U nothing passes from line 1 to line 2; above, the band
+        # formula answers too.
+        code, out, _ = run_cli(
+            ["report", "flux", "--a", "0.9", "--U", "1", "--V", V, "--kF", "3"], capsys
+        )
+        assert code == 0
+        data = json.loads(out)
+        if V == "1":
+            assert data["J"] == 0.0
+        else:
+            assert data["below_threshold_part"] > 0.0
+            assert data["above_threshold_part"] > 0.0
 
     @pytest.mark.parametrize("option, value", [
         ("--rho", "nan"), ("--rho", "inf"), ("--kF", "inf"), ("--kF", "nan"),

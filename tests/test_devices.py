@@ -4,9 +4,7 @@ import pytest
 from qstar import (
     FilterN3,
     GateN4,
-    InvalidBandError,
     MomentumDistribution,
-    band_filter_transmission,
     n3_amplitudes,
     n3_transmission,
     n4_amplitudes,
@@ -114,13 +112,6 @@ class TestGateAmplitudes:
             total = abs(s11) ** 2 + abs(s21) ** 2 + abs(s41) ** 2
             assert total == pytest.approx(1.0, abs=1e-10)
 
-    def test_closed_forms_require_zero_drain_potential(self):
-        g = GateN4(a=1.0, U=1.0, V=0.5)
-        with pytest.raises(InvalidBandError):
-            n4_amplitudes(g, 1.5)
-        with pytest.raises(InvalidBandError):
-            n4_transmission(g, 1.5)
-
 
 class TestFlatFilter:
     def test_quarter_below_threshold_exact(self, flat):
@@ -155,7 +146,8 @@ def _n3_rational(f, k):
 
 
 def _n4_rational(g, k):
-    """The same two-branch rational form for the gate (V=0)."""
+    """The same two-branch rational form for the gate (V=0), with 1 - w
+    written as (U/k^2)/(1 + w) so that it does not cancel for k >> sqrt(U)."""
     a2 = g.a**2
     below = k**2 <= g.U
     kb, ka = k[below], k[~below]
@@ -164,7 +156,9 @@ def _n4_rational(g, k):
         (1 + 2 * a2) ** 2 * ((1 - 4 * a2**2) * kb**2 + 4 * a2**2 * g.U)
     )
     w = np.sqrt(1.0 - g.U / ka**2)
-    p[~below] = 4 * a2**2 * (1 - w) ** 2 / ((1 + 2 * a2) ** 2 * (1 + 2 * a2 * w) ** 2)
+    p[~below] = 4 * a2**2 * (g.U / ka**2 / (1 + w)) ** 2 / (
+        (1 + 2 * a2) ** 2 * (1 + 2 * a2 * w) ** 2
+    )
     return p
 
 
@@ -204,34 +198,29 @@ class TestOneFormula:
         )
 
 
-class TestBandFilter:
-    def test_exact_thresholds_use_the_grid_nudge(self):
-        g = GateN4(a=0.83, U=1.3, V=0.5)
-        for t in (np.sqrt(g.U), np.sqrt(g.V)):
-            at = band_filter_transmission(g, t)
-            assert np.isfinite(at)
-            assert at == band_filter_transmission(g, t * (1.0 + 1e-8))
-            on_grid = band_filter_transmission(g, np.array([t, 2.0]))
-            assert on_grid[0] == at
+def _random_gate(rng, mode):
+    """Seeded gate with V = 0, 0 < V < U, V = U or V > U."""
+    a = float(rng.uniform(0.2, 2.5))
+    U = float(rng.uniform(0.1, 3.0))
+    V = {"zero": 0.0, "band": float(rng.uniform(0.01, 0.99)) * U, "equal": U,
+         "above": float(rng.uniform(1.01, 3.0)) * U}[mode]
+    return GateN4(a=a, U=U, V=V)
 
-    def test_zero_drain_matches_closed_form(self, flat):
-        ks = np.linspace(0.055, 3.0, 60)  # grid avoids the exact threshold
-        diff = np.abs(
-            band_filter_transmission(flat, ks) - n4_transmission(flat, ks)
-        ).max()
-        assert diff < 1e-10
+
+class TestBandFilter:
+    """The gate formulas with a drain potential V on line 4."""
 
     def test_passband_window(self):
         g = GateN4(a=FLAT_A, U=1.0, V=0.25)
-        band = band_filter_transmission(g, np.linspace(0.52, 0.99, 30)).mean()
-        low = band_filter_transmission(g, np.linspace(0.02, 0.49, 30)).mean()
-        high = band_filter_transmission(g, np.linspace(1.02, 2.0, 30)).mean()
+        band = n4_transmission(g, np.linspace(0.52, 0.99, 30)).mean()
+        low = n4_transmission(g, np.linspace(0.02, 0.49, 30)).mean()
+        high = n4_transmission(g, np.linspace(1.02, 2.0, 30)).mean()
         assert band > low
         assert band > high
 
     def test_low_momentum_suppressed(self):
         g = GateN4(a=FLAT_A, U=1.0, V=0.25)
-        assert band_filter_transmission(g, 0.1) < band_filter_transmission(g, 0.7)
+        assert n4_transmission(g, 0.1) < n4_transmission(g, 0.7)
 
     def test_closed_form_matches_engine(self):
         # Momenta below sqrt(V), between the thresholds and above sqrt(U).
@@ -254,12 +243,53 @@ class TestBandFilter:
                 abs(smatrix(g.boundary_condition(), g.channels(k)).S[1, 0]) ** 2 for k in ks
             ])
             np.testing.assert_allclose(
-                band_filter_transmission(g, ks), engine, rtol=1e-11, atol=0
+                n4_transmission(g, ks), engine, rtol=1e-11, atol=0
             )
 
-    def test_invalid_band(self):
-        with pytest.raises(InvalidBandError):
-            band_filter_transmission(GateN4(a=FLAT_A, U=1.0, V=1.0), 0.5)
+    @pytest.mark.parametrize("mode", ["zero", "band", "equal", "above"])
+    def test_all_amplitudes_match_engine(self, mode):
+        # |S_i1|^2 against the engine's probabilities, which are 0 on a
+        # closed line as the step cutoff makes them.
+        rng = rng_for(f"gate-amplitudes-{mode}")
+        for _ in range(25):
+            g = _random_gate(rng, mode)
+            k_max = 5.0 * max(np.sqrt(g.U), np.sqrt(g.V))
+            for k in rng.uniform(0.01, k_max, 8):
+                engine = probabilities(smatrix(g.boundary_condition(), g.channels(k)))[:, 0]
+                closed = np.abs(np.array(n4_amplitudes(g, k))) ** 2
+                np.testing.assert_allclose(closed, engine, rtol=1e-11, atol=1e-19,
+                                           err_msg=f"{g!r} at k={k!r}")
+
+    def test_no_transmission_when_drain_matches_control(self):
+        rng = rng_for("gate-equal-potentials")
+        for _ in range(10):
+            g = _random_gate(rng, "equal")
+            t = np.sqrt(g.U)
+            ks = np.concatenate([[t], t * rng.uniform(0.01, 5.0, 50)])
+            assert (n4_amplitudes(g, ks)[1] == 0).all()
+
+    @pytest.mark.parametrize("g", [GateN4(0.83, 1.3, 0.5), GateN4(FLAT_A, 1.0, 0.25),
+                                   GateN4(1.0, 1.0), GateN4(0.6, 2.0, 2.0),
+                                   GateN4(0.9, 0.7, 1.9)], ids=repr)
+    def test_finite_on_the_thresholds(self, g):
+        # Continuous through sqrt(U) and sqrt(V) up to the square-root cusp
+        # of the opening line, 3e-6 to 6e-6 here over a relative step of
+        # 1e-12; the cusp steepens with a (1.1e-5 at a = 1.4, U = 0.7, V = 1.9).
+        for t in {np.sqrt(g.U), np.sqrt(g.V)} - {0.0}:
+            at = np.abs(np.array(n4_amplitudes(g, t))) ** 2
+            assert np.isfinite(at).all()
+            for side in (1.0 - 1e-12, 1.0 + 1e-12):
+                near = np.abs(np.array(n4_amplitudes(g, t * side))) ** 2
+                assert np.abs(at - near).max() <= 1e-5, (t, side, at, near)
+
+    @pytest.mark.parametrize("g", GATES, ids=repr)
+    def test_zero_drain_shortcut_is_the_general_formula(self, g):
+        # V = 0 takes w_V = 1 without a square root; the smallest positive
+        # V goes through the general branch and must give the same bits.
+        ks = np.geomspace(1e-6, 1e3, 997)
+        tiny = GateN4(a=g.a, U=g.U, V=5e-324)
+        for zero, general in zip(n4_amplitudes(g, ks), n4_amplitudes(tiny, ks)):
+            assert np.array_equal(np.abs(zero) ** 2, np.abs(general) ** 2)
 
 
 class TestEngineEquivalenceIncludingPrefactor:

@@ -148,3 +148,27 @@ def test_chain_of_non_orthogonal_rows_converges_elsewhere():
         steps = [float(np.abs(a - b).max()) for a, b in zip(chains, chains[1:])]
         assert steps[2] < 0.2 * steps[0], (T, ch, steps)
         assert min(errors) > 0.1, (T, ch, errors)
+
+
+def test_threshold_decouples_the_opening_line():
+    # As E -> U_j+ for a line j of the second group, k_j -> 0 and S on the
+    # other lines tends to the S-matrix of T with column j deleted, which is
+    # the exact limit; the distance is O(sqrt(delta)) for E = U_j (1 + delta).
+    rng = rng_for("st-oracle-threshold-decoupling")
+    for _ in range(12):
+        n, m, T = random_block(rng)
+        j = int(rng.integers(m, n))
+        while True:
+            pots = rng.uniform(0.0, 4.0, size=n)
+            pots[j] = rng.uniform(0.5, 4.0)
+            if np.abs(np.delete(pots, j) - pots[j]).min() > 1e-3:
+                break
+        keep = [i for i in range(n) if i != j]
+        bc = make_st_form(n, m, T)
+        distances = []
+        for delta in (1e-6, 1e-8):
+            energy = pots[j] * (1 + delta)
+            S = smatrix(bc, ChannelSet(n, tuple(pots), energy)).S[np.ix_(keep, keep)]
+            want = st_oracle(np.delete(T, j - m, axis=1), pots[keep], energy)
+            distances.append(float(np.abs(S - want).max()))
+        assert 8.0 <= distances[0] / distances[1] <= 12.0, (T, pots, j, distances)
