@@ -19,24 +19,26 @@ from .devices import (
     FilterN3,
     GateN4,
     MomentumDistribution,
-    n3_transmission,
     n4_transmission,
 )
 from .exceptions import NoBandError, NoPoleError
 from .numerics import Tolerance, find_root, integrate
 
-#: Coefficient of the sharp-peak bandwidth estimate, W ~ C U/b^4. For large
-#: b the half-maximum width tends to (16a^2 - 4 sqrt(2) a (1 + a^2)) U/b^4,
-#: and C is its a = 1 value, 16 - 8 sqrt(2) = 4.686 (2.818 at a = 0.8),
-#: rounded to the 4.7 that the bandwidth report golden pins.
+#: Coefficient of the sharp-peak bandwidth estimate, W ~ C U/b^4. The closed
+#: form of :func:`bandwidth` gives W b^4/U = (16a^2 - 4 sqrt(2) a (1 + a^2))
+#: (1 + O(1/b^4)); C is its a = 1 value, 16 - 8 sqrt(2) = 4.686 (2.818 at
+#: a = 0.8), rounded to the 4.7 that the bandwidth report golden pins.
 BANDWIDTH_COEFFICIENT = 4.7
 
-#: Root-finding tolerance of the band edges in :func:`bandwidth` and of the
-#: pole in :func:`locate_pole`.
-BANDWIDTH_TOLERANCE = Tolerance(abs_tol=1e-13, rel_tol=4e-16)
+#: Root-finding tolerance of the pole in :func:`locate_pole`.
+POLE_TOLERANCE = Tolerance(abs_tol=1e-13, rel_tol=4e-16)
 
 #: Quadrature tolerance of :func:`flux_report`.
 FLUX_TOLERANCE = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
+
+# sqrt(2) as a double plus the rounding error of that double.
+_SQRT2 = math.sqrt(2.0)
+_SQRT2_LO = -9.667293313452913e-17
 
 
 @dataclass(frozen=True)
@@ -58,46 +60,47 @@ class BandReport:
 def bandwidth(f: FilterN3) -> BandReport:
     """Half-maximum band edges of the filter around the threshold peak.
 
-    The edges are located by root finding on P(k) - 1/2 on each side of
-    sqrt(U); width is reported in energy (k^2) units. Raises NoBandError
-    when the peak does not reach 1/2 (a too far from 1), or when
-    transmission never falls back below 1/2 at high momentum (b too
-    small).
+    P(k) = 4a^2/|1 + a^2 + b^2 w|^2 with w = sqrt(1 - U/k^2) equals 1/2
+    where |1 + a^2 + b^2 w| = 2 sqrt(2) a. With c = 2 sqrt(2) a - 1 - a^2:
+
+    - above threshold w = c/b^2, so k_hi = sqrt(U)/sqrt(1 - w^2);
+    - below it w = i v with v = sqrt(c (2 sqrt(2) a + 1 + a^2))/b^2, so
+      k_lo = sqrt(U)/sqrt(1 + v^2);
+    - the width in energy (k^2) units is
+      k_hi^2 - k_lo^2 = U (w^2 + v^2)/((1 - w^2)(1 + v^2)),
+      written without the difference of squares.
+
+    c is the product (a - (sqrt(2) - 1))(sqrt(2) + 1 - a) with sqrt(2) in
+    two parts, so it keeps its relative digits as a approaches the
+    half-maximum boundaries sqrt(2) -/+ 1. The edges and the width are then
+    exact to a few ulp, times the condition number 2w^2/(1 - w^2) of k_hi
+    near the unbounded band (w -> 1). For b >~ 1e4 both edges round to
+    sqrt(U) in double precision, while the width stays exact.
+
+    Raises NoBandError when U <= 0, when the peak (2a/(1 + a^2))^2 does not
+    exceed 1/2 (c <= 0), or when transmission stays at or above 1/2 at high
+    momentum (w >= 1: b too small).
     """
     if f.U <= 0:
         raise NoBandError("bandwidth needs a positive controlling potential")
-    if f.peak_transmission <= 0.5:
+    a, b2 = f.a, f.b * f.b
+    c = ((a - (_SQRT2 - 1.0)) - _SQRT2_LO) * ((1.0 - (a - _SQRT2)) + _SQRT2_LO)
+    if c <= 0:
         raise NoBandError(
             f"peak transmission {f.peak_transmission:.4g} <= 1/2: no band"
         )
-    k_th = f.threshold
-
-    def excess(k: float) -> float:
-        return n3_transmission(f, k) - 0.5
-
-    lo = k_th * 1e-3
-    while excess(lo) > 0:  # pathological only for tiny b; shrink the bracket
-        lo *= 1e-3
-        if lo < 1e-300:
-            raise NoBandError("no lower half-max edge found")
-    k_lo = find_root(excess, lo, k_th, tol=BANDWIDTH_TOLERANCE)
-
-    if f.high_momentum_transmission >= 0.5:
+    w = c / b2 if c < b2 else 1.0  # b2 may underflow to 0
+    if w >= 1:
         raise NoBandError(
             "transmission stays above 1/2 at high momentum: unbounded band"
         )
-    hi = 2.0 * k_th
-    while excess(hi) > 0:
-        hi *= 2.0
-        if hi > 1e9 * k_th:
-            raise NoBandError("no upper half-max edge found")
-    k_hi = find_root(excess, k_th, hi, tol=BANDWIDTH_TOLERANCE)
-
+    v = math.sqrt(c * (2.0 * _SQRT2 * a + 1.0 + a * a)) / b2
+    k_th = f.threshold
     return BandReport(
         center_k=k_th,
-        k_lo=k_lo,
-        k_hi=k_hi,
-        width_energy=k_hi**2 - k_lo**2,
+        k_lo=k_th / math.hypot(1.0, v),
+        k_hi=k_th / math.sqrt((1.0 - w) * (1.0 + w)),
+        width_energy=f.U * (w * w + v * v) / ((1.0 - w) * (1.0 + w) * (1.0 + v * v)),
         approx_width=BANDWIDTH_COEFFICIENT * f.U / f.b**4,
     )
 
@@ -135,7 +138,7 @@ def locate_pole(device: FilterN3 | GateN4) -> PoleReport:
         hi *= 2.0
         if hi > 1e12 * k_th:
             raise NoPoleError("denominator does not change sign on the second sheet")
-    k_pole = find_root(den, lo, hi, tol=BANDWIDTH_TOLERANCE)
+    k_pole = find_root(den, lo, hi, tol=POLE_TOLERANCE)
     return PoleReport(k_pole=k_pole, closed_form=closed, residual=abs(den(k_pole)))
 
 

@@ -176,7 +176,6 @@ def _cmd_report_bandwidth(args) -> int:
             "width_energy": rep.width_energy,
             "approx_width": rep.approx_width,
             "approx_ratio": rep.approx_ratio,
-            "tolerances": {"edge_bracket": analysis.BANDWIDTH_TOLERANCE.abs_tol},
         },
     )
     return EXIT_OK

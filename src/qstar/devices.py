@@ -103,10 +103,6 @@ class FilterN3(_StarDevice):
         return float(self.b**2 * np.sqrt(self.U) / np.sqrt(disc))
 
     @property
-    def high_momentum_transmission(self) -> float:
-        return (2 * self.a / (1 + self.a**2 + self.b**2)) ** 2
-
-    @property
     def peak_sharpness(self) -> float:
         """b/a; the peak is sharp when this is large and a >= 1."""
         return self.b / self.a
@@ -168,10 +164,6 @@ class GateN4(_StarDevice):
         if self.U <= 0 or not disc > 1e-12:
             return None
         return float(2 * self.a**2 * np.sqrt(self.U) / np.sqrt(disc))
-
-    @property
-    def low_momentum_transmission(self) -> float:
-        return 1 / (1 + 2 * self.a**2) ** 2
 
     @property
     def flat(self) -> bool:

@@ -48,7 +48,8 @@ class ClosedIncomingChannelError(QStarError, ValueError):
 
 
 class InvalidBandError(QStarError, ValueError):
-    """Band-filter drain potential must satisfy 0 <= V < U."""
+    """The request does not hold for the gate's drain potential:
+    ``GateN4.pole`` (and so ``locate_pole``) raises it for V != 0."""
 
 
 class NoBandError(QStarError, ValueError):

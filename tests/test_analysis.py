@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,10 @@ from qstar import (
 )
 
 FLAT_A = 1 / np.sqrt(2)
+#: 40-digit band edges from ``golden/make_bandwidth_reference.py``.
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "bandwidth_reference.json").read_text()
+)["filters"]
 RHO = MomentumDistribution.constant(1.0)
 
 
@@ -42,14 +49,62 @@ class TestBandwidth:
         assert n3_transmission(f, rep.k_lo) == pytest.approx(0.5, abs=1e-9)
         assert n3_transmission(f, rep.k_hi) == pytest.approx(0.5, abs=1e-9)
 
-    def test_no_band_when_peak_too_low(self):
-        # peak (2a/(1+a^2))^2 = 0.148 < 1/2 for a = 0.2
-        with pytest.raises(NoBandError):
-            bandwidth(FilterN3(a=0.2, b=3.0, U=1.0))
+    # Each NoBandError condition: filters on the no-band side, with its
+    # message, and one filter just inside the boundary. The peak
+    # (2a/(1+a^2))^2 exceeds 1/2 for sqrt(2) - 1 < a < sqrt(2) + 1 (it is
+    # 0.148 at a = 0.2); transmission at high momentum falls below 1/2 for
+    # b^2 > 2 sqrt(2) a - 1 - a^2, b > 0.91018 at a = 1 (b = 1e-170 squares to 0).
+    NO_BAND = {
+        "without_potential": (
+            [(1.0, 3.0, 0.0)], "positive controlling potential", (1.0, 3.0, 1e-300)),
+        "peak_too_low": (
+            [(0.2, 3.0, 1.0), (0.41421356, 3.0, 1.0), (2.4142136, 3.0, 1.0)],
+            "<= 1/2: no band", (0.41422, 3.0, 1.0)),
+        "unbounded_band": (
+            [(1.0, 0.5, 1.0), (1.0, 0.9101, 1.0), (1.0, 1e-170, 1.0)], "unbounded band",
+            (1.0, 0.9102, 1.0)),
+    }
 
-    def test_no_band_without_potential(self):
-        with pytest.raises(NoBandError):
-            bandwidth(FilterN3(a=1.0, b=3.0, U=0.0))
+    @pytest.mark.parametrize("case", sorted(NO_BAND))
+    def test_no_band(self, case):
+        filters, message, _ = self.NO_BAND[case]
+        for a, b, U in filters:
+            with pytest.raises(NoBandError, match=message):
+                bandwidth(FilterN3(a=a, b=b, U=U))
+
+    @pytest.mark.parametrize("case", sorted(NO_BAND))
+    def test_band_just_inside_boundary(self, case):
+        f = FilterN3(*self.NO_BAND[case][2])
+        rep = bandwidth(f)
+        assert 0.0 < rep.k_lo < f.threshold < rep.k_hi < np.inf
+        assert 0.0 < rep.width_energy < np.inf
+        assert n3_transmission(f, rep.k_lo) == pytest.approx(0.5, abs=1e-9)
+        assert n3_transmission(f, rep.k_hi) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "row", REFERENCE, ids=lambda r: f"a{r['a']}-b{r['b']}-U{r['U']}")
+    def test_matches_40_digit_reference(self, row):
+        # kappa = 2 w^2/(1 - w^2) is the relative condition number of k_hi in
+        # b: rounding b by one ulp moves k_hi by kappa ulp. It is below 1 but
+        # for b = 0.92, near the unbounded band (kappa = 46).
+        k_hi = float(row["k_hi"])
+        scale = max(1.0, 2.0 * (k_hi * k_hi / row["U"] - 1.0))
+        rep = bandwidth(FilterN3(a=row["a"], b=row["b"], U=row["U"]))
+        assert rep.k_lo == pytest.approx(float(row["k_lo"]), rel=1e-15, abs=0)
+        assert rep.k_hi == pytest.approx(k_hi, rel=1e-15 * scale, abs=0)
+        assert rep.width_energy == pytest.approx(
+            float(row["width_energy"]), rel=2e-15 * scale, abs=0)
+
+    @pytest.mark.parametrize("b", [1e2, 1e3, 1e4, 1e6])
+    @pytest.mark.parametrize("a", [0.8, 1.0, 1.3])
+    def test_sharp_peak_width(self, a, b):
+        # W b^4/U = (16a^2 - 4 sqrt(2) a (1 + a^2))(1 + O(1/b^4)); the edges
+        # round to sqrt(U) from b ~ 1e4 on, the width does not.
+        U = 0.7
+        rep = bandwidth(FilterN3(a=a, b=b, U=U))
+        limit = 16 * a * a - 4 * np.sqrt(2) * a * (1 + a * a)
+        assert rep.width_energy * b**4 / U == pytest.approx(
+            limit, rel=10 / b**4 + 1e-13)
 
     def test_report_ratio(self):
         rep = bandwidth(FilterN3(a=1.0, b=3.0, U=1.0))

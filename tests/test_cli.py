@@ -20,7 +20,6 @@ from qstar import (
     make_st_form,
 )
 from qstar import cli
-from qstar.analysis import BANDWIDTH_TOLERANCE
 from qstar.cli import main
 
 
@@ -250,7 +249,18 @@ class TestReports:
         data = json.loads(out)
         assert data["width_energy"] == pytest.approx(4.7 / 81, rel=0.1)
         assert data["k_lo"] < 1.0 < data["k_hi"]
-        assert data["tolerances"]["edge_bracket"] == BANDWIDTH_TOLERANCE.abs_tol == 1e-13
+        # The edges are closed form: no bracket or tolerance to report.
+        assert "tolerances" not in data
+
+    def test_bandwidth_report_sharp_peak(self, capsys):
+        code, out, _ = run_cli(
+            ["report", "bandwidth", "--a", "1", "--b", "1e4", "--U", "1"], capsys
+        )
+        assert code == 0
+        data = json.loads(out)
+        # W b^4 tends to 16 - 8 sqrt(2) at a = 1 as b grows.
+        assert data["approx_ratio"] == pytest.approx(
+            (16 - 8 * np.sqrt(2)) / 4.7, abs=1e-6)
 
     def test_flux_report(self, capsys):
         code, out, _ = run_cli(

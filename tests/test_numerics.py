@@ -8,6 +8,7 @@ from qstar import (
     NoSignChangeError,
     SingularMatrixError,
     Tolerance,
+    bandwidth,
     find_root,
     integrate,
     n3_transmission,
@@ -206,3 +207,17 @@ class TestFindRoot:
         lo = find_root(excess, 0.9, 1.0)
         width = hi**2 - lo**2
         assert width == pytest.approx(4.7 / 81, rel=0.10)
+
+        # The same root find, bracketed on each side of sqrt(U), is an
+        # oracle for the closed-form edges of bandwidth().
+        rng = rng_for("half-max-edges")
+        tol = Tolerance(abs_tol=1e-13, rel_tol=4e-16)
+        for a, b, U in zip(rng.uniform(0.6, 1.8, 5), rng.uniform(2.0, 20.0, 5),
+                           rng.uniform(0.5, 4.0, 5)):
+            f = FilterN3(a=a, b=b, U=U)
+            k_th = f.threshold
+            rep = bandwidth(f)
+            assert find_root(excess, k_th * 1e-3, k_th, tol=tol) == pytest.approx(
+                rep.k_lo, rel=1e-12)
+            assert find_root(excess, k_th, 2.0 * k_th, tol=tol) == pytest.approx(
+                rep.k_hi, rel=1e-12)
