@@ -56,7 +56,6 @@ from .exceptions import (
     AtThresholdError,
     ClosedIncomingChannelError,
     DimensionMismatchError,
-    InvalidBandError,
     InvalidParameterError,
     NoBandError,
     NoConvergenceError,

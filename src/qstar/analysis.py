@@ -1,17 +1,18 @@
 """Derived device quantities: half-maximum bandwidth, second-sheet
 resonance poles, and the flux-control curve J(U).
 
-The resonance pole sits on the unphysical sheet reached by flipping the
-sign of sqrt(1 - U/k^2) in the device's own amplitude denominator
-(``FilterN3.denominator``, ``GateN4.denominator``); for real k > sqrt(U)
-that denominator is real, so a bracketed 1-D root find locates the pole
-without any contour machinery.
+The poles of a scale-invariant vertex with real ST block T are the zeros
+of D(k) = det(diag(w_in) + T diag(w_out) T^T), w_j = sqrt(1 - U_j/k^2)
+(Kostrykin and Schrader, J. Phys. A 32 (1999) 595). With line 3's w
+flipped to -sqrt(1 - U/k^2), D is real above every threshold, so a
+bracketed 1-D root find locates the resonance pole without contours.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -114,32 +115,50 @@ class PoleReport:
     residual: float
 
 
+def _second_sheet_det(T, w) -> float:
+    """D = det(diag(w_in) + T diag(w_out) T^T) of the real m x (n - m) block
+    T and one real w per line, w = (w_in, w_out). Written out for m <= 2
+    (the devices), where numpy's det would cost more than the rest of D;
+    for m = 1, D is w_1 + T_11^2 w_2 + ... summed left to right."""
+    m = len(T)
+    M = [[sum(map(mul, map(mul, r, s), w[m:]), w[i] if i == l else 0.0)
+          for l, s in enumerate(T)] for i, r in enumerate(T)]
+    if m == 1:
+        return M[0][0]
+    if m == 2:
+        return M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    return float(np.linalg.det(M))
+
+
 def locate_pole(device: FilterN3 | GateN4) -> PoleReport:
     """Locate the real second-sheet pole behind the threshold peak.
 
-    Root-finds ``device.denominator`` at w = -sqrt(1 - U/k^2) for
-    k > sqrt(U) and reports the closed-form pole ``device.pole`` beside it.
-    Raises NoPoleError when the parameters admit no pole, and
-    InvalidBandError for a gate with V != 0.
+    Root-finds D(k) (module docstring) of the device's ``coupling`` and
+    ``potentials`` above the highest threshold, and reports ``device.pole``
+    beside it; ``residual`` is |D(k_pole)|. Raises NoPoleError when the
+    closed form has no pole, or when it does not clear the highest
+    threshold by the bracket's 1e-12 (the gate with V >= k_pole^2).
     """
     closed = device.pole
     if closed is None:
+        raise NoPoleError(f"no second-sheet pole: the closed form has none for {device!r}")
+    pots = device.potentials
+    top = max(range(len(pots)), key=pots.__getitem__)
+    k_top = math.sqrt(pots[top])
+    lo = k_top * (1 + 1e-12)
+    if not closed > lo:
         raise NoPoleError(
-            f"no second-sheet pole: requires {device.pole_condition} and U > 0"
-        )
+            f"second-sheet pole {closed!r} of {device!r} does not clear the highest threshold",
+            line=top + 1, threshold=k_top)
 
-    def den(k: float) -> float:
-        return device.denominator(-np.sqrt(1 - device.U / k**2))
+    def det(k: float) -> float:
+        k2 = k**2
+        w = [math.sqrt(1 - u / k2) for u in pots]
+        w[2] = -w[2]  # line 3, the controlling potential U
+        return _second_sheet_det(device.coupling, w)
 
-    k_th = float(np.sqrt(device.U))
-    lo = k_th * (1 + 1e-12)
-    hi = 2.0 * max(closed, k_th)
-    while den(hi) > 0:
-        hi *= 2.0
-        if hi > 1e12 * k_th:
-            raise NoPoleError("denominator does not change sign on the second sheet")
-    k_pole = find_root(den, lo, hi, tol=POLE_TOLERANCE)
-    return PoleReport(k_pole=k_pole, closed_form=closed, residual=abs(den(k_pole)))
+    k_pole = find_root(det, lo, 2.0 * closed, tol=POLE_TOLERANCE)
+    return PoleReport(k_pole=k_pole, closed_form=closed, residual=abs(det(k_pole)))
 
 
 @dataclass(frozen=True)

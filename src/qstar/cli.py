@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -163,39 +164,22 @@ def _cmd_sweep(args) -> int:
 def _cmd_report_bandwidth(args) -> int:
     f = _device_from_args(args, "n3", "--device")
     rep = analysis.bandwidth(f)
-    _write_json(
-        args.output,
-        {
-            "kind": "bandwidth",
-            "a": f.a,
-            "b": f.b,
-            "U": f.U,
-            "center_k": rep.center_k,
-            "k_lo": rep.k_lo,
-            "k_hi": rep.k_hi,
-            "width_energy": rep.width_energy,
-            "approx_width": rep.approx_width,
-            "approx_ratio": rep.approx_ratio,
-        },
-    )
+    payload = {"kind": "bandwidth", **asdict(f), **asdict(rep), "approx_ratio": rep.approx_ratio}
+    _write_json(args.output, payload)
     return EXIT_OK
 
 
 def _cmd_report_pole(args) -> int:
     device = _device_from_args(args, args.device, "--device")
     rep = analysis.locate_pole(device)
+    tol = analysis.POLE_TOLERANCE
     payload = {
         "kind": "pole",
-        "device": args.device,
-        "a": args.a,
-        "U": args.U,
-        "k_pole": rep.k_pole,
-        "closed_form": rep.closed_form,
-        "residual": rep.residual,
-        "tolerances": {"match_rel": 1e-8, "residual": 1e-8},
+        "device": f"n{len(device.potentials)}",
+        **asdict(device),  # a, U and b (filter) or V (gate)
+        **asdict(rep),
+        "tolerances": {"root_abs": tol.abs_tol, "root_rel": tol.rel_tol},
     }
-    if args.device == "n3":
-        payload["b"] = args.b
     _write_json(args.output, payload)
     return EXIT_OK
 
@@ -266,6 +250,8 @@ def _cmd_smatrix(args) -> int:
             raise UsageError("--bc requires --potentials u1,u2,...")
         with open(args.bc) as fh:
             bc = vertex.bc_from_json(fh.read())
+        if bc.n < 2:
+            raise InvalidParameterError(f"--bc coupling needs degree n >= 2, got {bc.n}")
         pots = tuple(float(u) for u in args.potentials.split(","))
         if len(pots) != bc.n:
             raise UsageError(f"expected {bc.n} potentials, got {len(pots)}")

@@ -20,13 +20,14 @@ continue analytically; transmission into a closed line (3, or the gate's
 drain line 4 below sqrt(V)) carries an explicit step-function cutoff. The
 formulas are finite on the thresholds themselves, so they take any k
 without the grid nudge of :func:`scattering.nudge_off_threshold`. Each
-device writes its amplitude denominator once (``denominator``), and each
-transmission is |S21|^2 of the one S21 expression; all of them need k
+device's amplitudes share one divisor, written in its S21 function, and
+each transmission is |S21|^2 of that S21 expression; all of them need k
 above ~1e-150, where U/k^2 overflows.
 
-The same denominator with w flipped to -sqrt(1 - U/k^2) (the second sheet)
-vanishes at the resonance pole behind the threshold peak; each device also
-carries that pole's closed form (``pole``), or None where it does not exist.
+The resonance pole behind the threshold peak lies on the second sheet,
+where w = -sqrt(1 - U/k^2). :func:`analysis.locate_pole` finds it from
+``coupling`` and ``potentials`` alone; each device carries the pole's
+closed form (``pole``), or None where it does not exist, as its oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import InvalidBandError
 # No formula here calls ``smatrix``; the binding stays because perfbench's
 # tracer self-test reads ``qstar.devices.smatrix``.
 from .scattering import ChannelSet, smatrix  # noqa: F401
@@ -86,10 +86,9 @@ class FilterN3(_StarDevice):
     def peak_transmission(self) -> float:
         """Transmission at the threshold momentum, (2a/(1+a^2))^2; equals 1
         iff a = 1."""
-        return (2 * self.a / (1 + self.a**2)) ** 2
-
-    #: Existence condition of :attr:`pole`, for error messages.
-    pole_condition = "b^2 > 1 + a^2"
+        # Products, not powers: an extreme a gives 0 instead of OverflowError.
+        root = 2 * self.a / (1 + self.a * self.a)
+        return root * root
 
     @property
     def pole(self) -> float | None:
@@ -121,10 +120,6 @@ class FilterN3(_StarDevice):
         """Coupling block T = [[a, b]]."""
         return ((self.a, self.b),)
 
-    def denominator(self, w):
-        """Amplitude denominator 1 + a^2 + b^2 w, w = sqrt(1 - U/k^2)."""
-        return 1 + self.a**2 + self.b**2 * w
-
 
 @dataclass(frozen=True)
 class GateN4(_StarDevice):
@@ -147,16 +142,11 @@ class GateN4(_StarDevice):
         """Transmission at the threshold momentum, 4a^4/(1+2a^2)^2."""
         return 4 * self.a**4 / (1 + 2 * self.a**2) ** 2
 
-    #: Existence condition of :attr:`pole`, for error messages.
-    pole_condition = "a > 1/sqrt(2)"
-
     @property
     def pole(self) -> float | None:
         """Closed-form second-sheet pole 2a^2 sqrt(U)/sqrt(4a^4 - 1), or None
-        unless a > 1/sqrt(2) and U > 0. The pole report covers the standard
-        mode only: raises InvalidBandError for V != 0."""
-        if self.V != 0.0:
-            raise InvalidBandError(f"the pole report holds only for V=0, got V={self.V!r}")
+        unless a > 1/sqrt(2) and U > 0. It does not depend on V; it is a
+        real pole above both thresholds only where it exceeds sqrt(V)."""
         # Discriminants within 1e-12 of critical count as poleless, as for
         # FilterN3.pole: the double closest to 1/sqrt(2) is marginally above
         # critical, and the flat gate has no pole.
@@ -180,11 +170,6 @@ class GateN4(_StarDevice):
         """Coupling block T = [[a, a], [a, -a]]."""
         return ((self.a, self.a), (self.a, -self.a))
 
-    def denominator(self, w_u, w_v=1.0):
-        """Amplitude denominator (1 + 2a^2 w_V)(1 + 2a^2 w_U), w_X =
-        sqrt(1 - X/k^2); w_V = 1 in the standard mode V = 0."""
-        return (1 + 2 * self.a**2 * w_v) * (1 + 2 * self.a**2 * w_u)
-
 
 def _branch(U: float, k: np.ndarray) -> np.ndarray:
     """sqrt(1 - U/k^2) continued below threshold (principal branch)."""
@@ -207,9 +192,9 @@ def _momenta(k):
 
 def _n3_s21(f: FilterN3, k: np.ndarray):
     """S21 = 2a/(1 + a^2 + b^2 w) of the three-line filter, with w and the
-    denominator the other amplitudes share."""
+    divisor that the other amplitudes share."""
     w = _branch(f.U, k)
-    den = f.denominator(w)
+    den = 1 + f.a**2 + f.b**2 * w
     return 2 * f.a / den, w, den
 
 
@@ -233,7 +218,7 @@ def n3_transmission(f: FilterN3, k):
 
 def _n4_s21(g: GateN4, k: np.ndarray):
     """S21 = 2a^2 ((U - V)/k^2)/((w_U + w_V) D) of the gate, with w_U, w_V
-    and the denominator D the other amplitudes share.
+    and the divisor D that the other amplitudes share.
 
     This is 2a^2 (w_V - w_U)/D with the difference written as a quotient,
     which does not cancel for k >> sqrt(U), sqrt(V). In the standard mode
@@ -242,7 +227,7 @@ def _n4_s21(g: GateN4, k: np.ndarray):
     """
     w_u = _branch(g.U, k)
     w_v = _branch(g.V, k) if g.V else 1.0
-    den = g.denominator(w_u, w_v)
+    den = (1 + 2 * g.a**2 * w_v) * (1 + 2 * g.a**2 * w_u)
     if g.V == g.U:  # S21 = 0; at k = sqrt(U) the quotient below is 0/0
         return np.zeros_like(w_u)[()], w_u, w_v, den
     # The quotient is w_V - w_U; D divides last, so that an overflowing D

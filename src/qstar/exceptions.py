@@ -47,17 +47,21 @@ class ClosedIncomingChannelError(QStarError, ValueError):
     """The requested incoming line is evanescent at this energy."""
 
 
-class InvalidBandError(QStarError, ValueError):
-    """The request does not hold for the gate's drain potential:
-    ``GateN4.pole`` (and so ``locate_pole``) raises it for V != 0."""
-
-
 class NoBandError(QStarError, ValueError):
     """No half-maximum band exists for these filter parameters."""
 
 
 class NoPoleError(QStarError, ValueError):
-    """No second-sheet pole exists for these device parameters."""
+    """No real second-sheet pole above every threshold exists for these
+    device parameters: ``line`` (1-based) and ``threshold`` name the line
+    whose threshold the closed-form pole does not clear, or are None when
+    the closed form has no pole."""
+
+    def __init__(self, message, line=None, threshold=None):
+        self.line, self.threshold = line, threshold
+        if line is not None:
+            message += f" (line {line}, threshold {threshold!r})"
+        super().__init__(message)
 
 
 class InvalidParameterError(QStarError, ValueError):

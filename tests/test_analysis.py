@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 from qstar import (
     FilterN3,
     GateN4,
-    InvalidBandError,
     MomentumDistribution,
     NoBandError,
     NoPoleError,
@@ -25,6 +25,10 @@ FLAT_A = 1 / np.sqrt(2)
 REFERENCE = json.loads(
     (Path(__file__).resolve().parent / "golden" / "bandwidth_reference.json").read_text()
 )["filters"]
+#: 40-digit poles from ``golden/make_pole_reference.py``.
+POLE_REFERENCE = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "pole_reference.json").read_text()
+)["poles"]
 RHO = MomentumDistribution.constant(1.0)
 
 
@@ -132,18 +136,49 @@ class TestLocatePole:
         assert rep.k_pole == pytest.approx(2 * 9 / np.sqrt(77), rel=1e-8)
 
     def test_flat_gate_has_no_pole(self):
-        with pytest.raises(NoPoleError):
+        with pytest.raises(NoPoleError, match="closed form has none") as info:
             locate_pole(GateN4(a=FLAT_A, U=1.0))
+        assert (info.value.line, info.value.threshold) == (None, None)
 
     def test_small_b_filter_has_no_pole(self):
         with pytest.raises(NoPoleError):
             locate_pole(FilterN3(a=1.0, b=1.2, U=1.0))  # b^2 < 1 + a^2
 
-    def test_gate_with_drain_potential_has_no_closed_form_pole(self):
-        with pytest.raises(InvalidBandError):
-            locate_pole(GateN4(a=1.0, U=1.0, V=0.5))
+    @pytest.mark.parametrize("V", [0.1, 0.5, 1.0, 1.2, 1.33])
+    def test_gate_pole_does_not_depend_on_drain_potential(self, V):
+        rep = locate_pole(GateN4(a=1.0, U=1.0, V=V))
+        assert rep.closed_form == GateN4(a=1.0, U=1.0).pole
+        assert rep.k_pole == pytest.approx(2 / np.sqrt(3), rel=1e-13)
 
-    # (device, k_pole, closed_form, residual), frozen bit for bit.
+    @pytest.mark.parametrize("V", [4 / 3, 2.0])
+    def test_gate_pole_below_drain_threshold_raises(self, V):
+        # The pole 2/sqrt(3) does not lie above the drain threshold sqrt(V).
+        with pytest.raises(NoPoleError, match="line 4") as info:
+            locate_pole(GateN4(a=1.0, U=1.0, V=V))
+        assert info.value.line == 4
+        assert info.value.threshold == math.sqrt(V)
+        assert repr(math.sqrt(V)) in str(info.value)
+
+    def test_pole_within_bracket_margin_of_threshold_raises(self):
+        # The pole sits within 1e-12 of sqrt(U), below the bracket's start.
+        with pytest.raises(NoPoleError, match="line 3") as info:
+            locate_pole(FilterN3(a=1.0, b=1e4, U=1.0))
+        assert (info.value.line, info.value.threshold) == (3, 1.0)
+
+    @pytest.mark.parametrize(
+        "row", POLE_REFERENCE,
+        ids=[f"{r['device']}-a{r['a']}-U{r['U']}-" + (f"b{r['b']}" if "b" in r else f"V{r['V']}")
+             for r in POLE_REFERENCE],
+    )
+    def test_matches_40_digit_reference(self, row):
+        if row["device"] == "n3":
+            device = FilterN3(row["a"], row["b"], row["U"])
+        else:
+            device = GateN4(row["a"], row["U"], row["V"])
+        assert locate_pole(device).k_pole == pytest.approx(float(row["k_pole"]), rel=2e-13)
+
+    # (device, k_pole, closed_form, residual), frozen bit for bit; each
+    # k_pole is within 2e-13 of pole_reference.json.
     # FilterN3(1, 1.4143) sits just above the critical b = sqrt(2),
     # GateN4(0.708) just above the critical a = 1/sqrt(2).
     FROZEN = [
@@ -156,9 +191,9 @@ class TestLocatePole:
         (FilterN3(1.0, 1.4143, 1.0), 63.96011922718148, 63.96011922718326, 0.0),
         (GateN4(1.0, 1.0), 1.1547005383792515, 1.1547005383792517, 0.0),
         (GateN4(1.3, 2.5), 1.6552407547482568, 1.6552407547483032,
-         1.2774514779323456e-12),
-        (GateN4(0.75, 0.7), 1.8262787623052124, 1.8262787623052126, 0.0),
-        (GateN4(0.708, 1.0), 14.090249313893441, 14.090249313893391, 0.0),
+         1.2780887459484802e-12),
+        (GateN4(0.75, 0.7), 1.8262787623052112, 1.8262787623052126, 0.0),
+        (GateN4(0.708, 1.0), 14.09024931389346, 14.090249313893391, 0.0),
     ]
 
     @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from qstar import (
     build_recipe,
     DeltaChainRecipe,
     graph_to_json,
+    make_delta,
     make_st_form,
 )
 from qstar import cli
@@ -203,7 +204,8 @@ class TestReports:
         data = json.loads(out)
         assert data["k_pole"] == pytest.approx(9 / np.sqrt(77), rel=1e-8)
         assert data["residual"] < 1e-8
-        assert data["tolerances"]["match_rel"] == 1e-8
+        # The root tolerance that locate_pole uses.
+        assert data["tolerances"] == {"root_abs": 1e-13, "root_rel": 4e-16}
 
     def test_pole_missing_is_numerical_failure(self, capsys):
         code, _, err = run_cli(
@@ -214,15 +216,25 @@ class TestReports:
         assert code == 3
         assert "pole" in err
 
-    def test_pole_with_drain_potential_is_numerical_failure(self, capsys):
-        # The closed-form pole holds for V = 0 only; no V = 0 pole is printed.
-        code, out, err = run_cli(
+    def test_pole_with_drain_potential(self, capsys):
+        # The gate's pole 2a^2 sqrt(U)/sqrt(4a^4 - 1) does not depend on V.
+        code, out, _ = run_cli(
             ["report", "pole", "--device", "n4", "--a", "1", "--U", "1", "--V", "0.5"],
+            capsys,
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["V"] == 0.5
+        assert data["k_pole"] == pytest.approx(2 / np.sqrt(3), rel=1e-13)
+
+    def test_pole_below_drain_threshold_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(
+            ["report", "pole", "--device", "n4", "--a", "1", "--U", "1", "--V", "2"],
             capsys,
         )
         assert code == 3
         assert out == ""
-        assert "V=0" in err
+        assert "(line 4, threshold 1.4142135623730951)" in err
 
     @pytest.mark.parametrize("argv", [
         ["report", "pole", "--device", "n4", "--a", "1e100", "--U", "1"],
@@ -261,6 +273,14 @@ class TestReports:
         # W b^4 tends to 16 - 8 sqrt(2) at a = 1 as b grows.
         assert data["approx_ratio"] == pytest.approx(
             (16 - 8 * np.sqrt(2)) / 4.7, abs=1e-6)
+
+    def test_bandwidth_report_extreme_coupling_has_no_band(self, capsys):
+        # The peak transmission underflows to 0 instead of overflowing.
+        code, out, err = run_cli(
+            ["report", "bandwidth", "--a", "1e200", "--b", "3", "--U", "1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == "qstar: numerical failure: peak transmission 0 <= 1/2: no band\n"
 
     def test_flux_report(self, capsys):
         code, out, _ = run_cli(
@@ -370,6 +390,15 @@ class TestSmatrix:
         assert code == 0
         data = json.loads(out)
         assert complex(*data["S"][1][0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_degree_one_bc_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bc.json"
+        path.write_text(bc_to_json(make_delta(1, 0.5)))
+        code, out, err = run_cli(
+            ["smatrix", "--bc", str(path), "--potentials", "0", "--k", "1.3"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == "qstar: config error: --bc coupling needs degree n >= 2, got 1\n"
 
     def test_device_and_bc_together_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bc.json"

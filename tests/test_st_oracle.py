@@ -26,6 +26,7 @@ from qstar import (
     make_st_form,
     smatrix,
 )
+from qstar.analysis import _second_sheet_det
 from qstar.assembly import MAGNETIC, V5_DELTA
 
 from conftest import random_channels, rng_for
@@ -34,13 +35,18 @@ SAMPLES = 60
 TOL = 1e-12
 
 
+def scaled_block(T, k):
+    """(T~, T~^H) of the block T for the per-line momenta k."""
+    m = T.shape[0]
+    ratio = np.sqrt(k[None, m:] / k[:m, None])
+    return T * ratio, T.conj().T * ratio.T
+
+
 def st_oracle(T, potentials, energy):
     T = np.asarray(T, dtype=np.complex128)
     m, n = T.shape[0], sum(T.shape)
     k = np.sqrt(np.asarray(energy - np.asarray(potentials), dtype=np.complex128))
-    ratio = np.sqrt(k[None, m:] / k[:m, None])
-    t = T * ratio
-    t_h = T.conj().T * ratio.T
+    t, t_h = scaled_block(T, k)
     middle = np.linalg.inv(np.eye(m) + t @ t_h)
     return -np.eye(n) + 2 * np.vstack([np.eye(m), t_h]) @ middle @ np.hstack([np.eye(m), t])
 
@@ -92,6 +98,29 @@ def test_scale_invariant_without_potentials(momenta):
         want = st_oracle(T, (0.0,) * n, 1.0)
         assert np.abs(S1 - S2).max() <= TOL
         assert np.abs(S1 - want).max() <= TOL
+
+
+def test_second_sheet_det_matches_st_oracle():
+    # Poles are the zeros of det(I + T~ T~^H), the inverse in the oracle.
+    # With k_j = k w_j, det(K_in) det(I + T~ T~^H) = k^m D(k), where D is
+    # the real determinant that locate_pole root-finds: above every
+    # threshold, with one line of positive potential on its second sheet.
+    rng = rng_for("st-oracle-second-sheet-det")
+    for _ in range(SAMPLES):
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(1, n))
+        T = rng.uniform(-3.0, 3.0, size=(m, n - m))
+        potentials = rng.uniform(0.1, 4.0, size=n)
+        k = np.sqrt(potentials.max()) * rng.uniform(1.01, 3.0)
+        momenta = np.sqrt(k * k - potentials).astype(np.complex128)
+        flipped = int(rng.integers(n))
+        momenta[flipped] = -momenta[flipped]
+        t, t_h = scaled_block(T.astype(np.complex128), momenta)
+        want = np.prod(momenta[:m]) * np.linalg.det(np.eye(m) + t @ t_h) / k**m
+        w = [float(x) for x in np.sqrt(1.0 - potentials / k**2)]
+        w[flipped] = -w[flipped]
+        D = _second_sheet_det(T.tolist(), w)
+        assert abs(D - want) <= TOL * abs(want), (T, potentials, k, flipped)
 
 
 @dataclass(frozen=True)
