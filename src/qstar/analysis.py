@@ -209,28 +209,30 @@ def _constant_density_gate_flux(g: GateN4, rho: float, k_F: float) -> tuple[floa
     threshold, w = sqrt(1 - U/k^2) turns rho k P dk into
     rho U (beta/(1 + beta))^2 w dw / ((1 + w)^2 (1 + beta w)^2), which is
     smooth on [0, w_F], w_F = sqrt(1 - U/k_F^2), and is integrated with
-    FLUX_TOLERANCE. Products stand in for powers so that an extreme a
-    overflows to inf instead of raising.
+    FLUX_TOLERANCE. (beta/(1 + beta))^2 is ``g.peak_transmission``. Products
+    stand in for powers, so an extreme a overflows to inf instead of
+    raising; both parts then tend to 0 as ln(beta)/beta^2, and J_below is 0
+    once beta^2 overflows.
     """
     beta = 2.0 * g.a * g.a
-    # rho times the threshold transmission; not g.peak_transmission, whose
-    # a**4 raises OverflowError for an extreme a.
-    rho_peak = rho * (beta / (1.0 + beta)) ** 2
+    rho_peak = rho * g.peak_transmission
     scale = rho_peak * g.U
     if scale == 0.0:
         return 0.0, 0.0
     t = (beta - 1.0) * (beta + 1.0)  # beta^2 - 1, accurate near the flat gate
     if abs(t) < 0.5:
         log_ratio = math.log1p(t) / t if t else 1.0
-    else:  # log1p(t) would lose beta^2 to rounding as beta -> 0
+    elif t < math.inf:  # log1p(t) would lose beta^2 to rounding as beta -> 0
         log_ratio = 2.0 * math.log(beta) / t
+    else:  # ln(beta^2)/beta^2 underflows; ln(inf)/inf would be nan
+        log_ratio = 0.0
     below = 0.5 * rho_peak * log_ratio * g.U  # U last: linear up to one rounding
 
     def tail(w: float) -> float:
         d = (1.0 + w) * (1.0 + beta * w)
         return scale * w / (d * d)
 
-    k_th = math.sqrt(g.U)
+    k_th = g.threshold
     w_F = math.sqrt((k_F - k_th) * (k_F + k_th)) / k_F
     return below, integrate(tail, 0.0, w_F, tol=FLUX_TOLERANCE)
 
@@ -245,7 +247,7 @@ def _k_quadrature_flux(
             return 0.0
         return dist.density(k) * k * n4_transmission(g, float(k))
 
-    k_th = float(np.sqrt(g.U))
+    k_th = g.threshold
     cuts = [c for c in (np.sqrt(g.V), k_th, *dist.knots) if 0.0 < c < k_F]
     if g.U == 0.0:
         return 0.0, integrate(integrand, 0.0, k_F, tol=FLUX_TOLERANCE, breakpoints=cuts)
@@ -259,16 +261,17 @@ def flux_report(g: GateN4, dist: MomentumDistribution, k_F: float) -> FluxReport
     """Flux through the gate for momenta distributed as ``dist`` up to k_F.
 
     For V = 0 and a constant density the below-threshold part has a closed
-    form, exactly linear in U, and the tail above threshold is one smooth
-    quadrature in w = sqrt(1 - U/k^2). Any other density, and the band
-    mode V > 0, integrate over k, split at sqrt(U) (and sqrt(V)), where the
-    transmission has square-root cusps, and at the knots of a tabulated
-    density, where it has kinks. How far the tail bends J(U) away from
-    linear is measured by :meth:`FluxCurve.linearity_deviation`.
+    form, exactly linear in U and finite for every finite a, and the tail
+    above threshold is one smooth quadrature in w = sqrt(1 - U/k^2). Any
+    other density, and the band mode V > 0, integrate over k, split at the
+    gate's ``threshold`` sqrt(U) (and at sqrt(V)), where the transmission
+    has square-root cusps, and at the knots of a tabulated density, where
+    it has kinks. How far the tail bends J(U) away from linear is measured
+    by :meth:`FluxCurve.linearity_deviation`.
     """
     if not 0 < k_F < np.inf:
         raise ValueError(f"k_F must be positive and finite, got {k_F!r}")
-    if g.U > 0 and np.sqrt(g.U) >= k_F:
+    if g.threshold >= k_F:
         raise ValueError("working range sqrt(U) must stay below k_F")
     if g.V == 0.0 and dist.rho is not None:
         below, above = _constant_density_gate_flux(g, dist.rho, k_F)

@@ -302,18 +302,25 @@ def graph_to_dict(graph: CompoundGraph) -> dict:
     }
 
 
+def _number(value) -> float:
+    """A JSON number as a float; a string, a boolean or null is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def graph_from_dict(data: dict) -> CompoundGraph:
     try:
         vertices = tuple(
-            GraphVertex(str(v["id"]), float(v["strength"])) for v in data["vertices"]
+            GraphVertex(str(v["id"]), _number(v["strength"])) for v in data["vertices"]
         )
         lines = tuple(
-            ExternalLine(str(l["vertex"]), float(l.get("U", 0.0)))
+            ExternalLine(str(l["vertex"]), _number(l.get("U", 0.0)))
             for l in data["lines"]
         )
         edges = tuple(
             InternalEdge(
-                str(e["from"]), str(e["to"]), float(e["d"]), float(e.get("phi", 0.0))
+                str(e["from"]), str(e["to"]), _number(e["d"]), _number(e.get("phi", 0.0))
             )
             for e in data.get("edges", [])
         )

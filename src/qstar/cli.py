@@ -188,20 +188,16 @@ def _cmd_report_flux(args) -> int:
     dist = devices.MomentumDistribution.constant(args.rho)
     gate = _device_from_args(args, "n4", "--device")
     rep = analysis.flux_report(gate, dist, args.kF)
+    tol = analysis.FLUX_TOLERANCE
     payload = {
         "kind": "flux",
-        "a": gate.a,
-        "U": gate.U,
-        "V": gate.V,
+        **asdict(gate),
         "rho": args.rho,
         "k_F": args.kF,
         "J": rep.total,
         "below_threshold_part": rep.below_threshold,
         "above_threshold_part": rep.above_threshold,
-        "tolerances": {
-            "quadrature_abs": analysis.FLUX_TOLERANCE.abs_tol,
-            "quadrature_rel": analysis.FLUX_TOLERANCE.rel_tol,
-        },
+        "tolerances": {"quadrature_abs": tol.abs_tol, "quadrature_rel": tol.rel_tol},
     }
     if args.U_grid:
         us = [float(u) for u in args.U_grid.split(",")]
@@ -217,25 +213,18 @@ def _cmd_report_converge(args) -> int:
     ds = tuple(args.d0 * 2.0**-m for m in range(args.halvings + 1))
     ks = tuple(float(k) for k in args.k_grid.split(","))
     rep = assembly.convergence_study(target, ks, ds, variant=args.variant)
-    _write_json(
-        args.output,
-        {
-            "kind": "converge",
-            "recipe": args.recipe,
-            "a": args.a,
-            "b": args.b,
-            "U": args.U,
-            "variant": args.variant,
-            "d0": args.d0,
-            "halvings": args.halvings,
-            "k_grid": list(rep.k_grid),
-            "rows": [
-                {"d": d, "eps": e} for d, e in zip(rep.separations, rep.errors)
-            ],
-            "orders": list(rep.orders),
-            "monotone": rep.monotone,
-        },
-    )
+    _write_json(args.output, {
+        "kind": "converge",
+        "recipe": args.recipe,
+        **asdict(target),  # a, U and b (filter) or V (gate)
+        "variant": args.variant,
+        "d0": args.d0,
+        "halvings": args.halvings,
+        "k_grid": list(rep.k_grid),
+        "rows": [{"d": d, "eps": e} for d, e in zip(rep.separations, rep.errors)],
+        "orders": list(rep.orders),
+        "monotone": rep.monotone,
+    })
     return EXIT_OK
 
 

@@ -38,8 +38,7 @@ from itertools import chain
 
 import numpy as np
 
-# No formula here calls ``smatrix``; the binding stays because perfbench's
-# tracer self-test reads ``qstar.devices.smatrix``.
+# Unused here; perfbench's tracer self-test reads ``qstar.devices.smatrix``.
 from .scattering import ChannelSet, smatrix  # noqa: F401
 from .vertex import BoundaryCondition, make_st_form
 
@@ -139,8 +138,10 @@ class GateN4(_StarDevice):
 
     @property
     def peak_transmission(self) -> float:
-        """Transmission at the threshold momentum, 4a^4/(1+2a^2)^2."""
-        return 4 * self.a**4 / (1 + 2 * self.a**2) ** 2
+        """Transmission at the threshold momentum, (beta/(1+beta))^2 with
+        beta = 2a^2: 1/4 on the flat gate, and 1 where beta overflows."""
+        beta = 2.0 * self.a * self.a
+        return (beta / (1.0 + beta) if beta < math.inf else 1.0) ** 2
 
     @property
     def pole(self) -> float | None:
@@ -157,8 +158,9 @@ class GateN4(_StarDevice):
 
     @property
     def flat(self) -> bool:
-        """Flat-filter mode: 4a^4 = 1, i.e. a = 1/sqrt(2)."""
-        return abs(4 * self.a**4 - 1.0) < 1e-12
+        """Flat-filter mode: beta^2 = 4a^4 = 1, i.e. a = 1/sqrt(2)."""
+        beta = 2.0 * self.a * self.a
+        return abs((beta - 1.0) * (beta + 1.0)) < 1e-12
 
     @property
     def potentials(self) -> tuple[float, ...]:

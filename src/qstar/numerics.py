@@ -23,6 +23,9 @@ PIVOT_FLOOR = 1e-14
 #: Iteration budget of :func:`find_root`.
 ROOT_MAX_ITER = 500
 
+#: Bisection budget of :func:`integrate`: levels of panels below the first.
+QUAD_MAX_DEPTH = 48
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -128,7 +131,6 @@ def integrate(
     hi: float,
     tol: Tolerance | None = None,
     breakpoints: Iterable[float] = (),
-    max_depth: int = 48,
 ) -> float:
     """Adaptive Gauss-Kronrod 7/15 quadrature of ``f`` over ``[lo, hi]``.
 
@@ -147,8 +149,8 @@ def integrate(
     the shares sum to the target; panels that miss their share are bisected.
     A panel that spans only a few ulps in ``x`` is accepted, because
     bisection cannot resolve anything inside it. Raises NoConvergenceError
-    when a panel still misses its share after ``max_depth`` bisections, and
-    ValueError, naming the abscissa, on the first level of panels where
+    when a panel still misses its share after ``QUAD_MAX_DEPTH`` bisections,
+    and ValueError, naming the abscissa, on the first level of panels where
     ``f`` returns a value that is not finite.
     """
     if not lo < hi:
@@ -166,7 +168,7 @@ def integrate(
     share = np.repeat(halves / (hi - lo), 2)
 
     total = 0.0
-    for depth in range(max_depth + 1):
+    for depth in range(QUAD_MAX_DEPTH + 1):
         centre, radius = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
         t = centre[:, None] + radius[:, None] * _NODES
         x = end[:, None] + sign[:, None] * t * t
@@ -184,7 +186,7 @@ def integrate(
         total += float(kronrod[done].sum())
         if done.all():
             return total
-        if depth == max_depth:
+        if depth == QUAD_MAX_DEPTH:
             break
         keep = ~done
         end, sign = np.repeat(end[keep], 2), np.repeat(sign[keep], 2)

@@ -132,10 +132,9 @@ def smatrix(bc: BoundaryCondition, ch: ChannelSet) -> ScatteringMatrix:
             f"coupling degree {bc.n} != channel count {ch.n}"
         )
     ch.assert_evaluable()
-    sqrt_k = np.sqrt(ch.momenta())
-    lhs = bc.A / sqrt_k[None, :] + 1j * bc.B * sqrt_k[None, :]
-    rhs = -(bc.A / sqrt_k[None, :] - 1j * bc.B * sqrt_k[None, :])
-    s = solve_linear(lhs, rhs)
+    sqrt_k = np.sqrt(ch.momenta())[None, :]
+    a_part, b_part = bc.A / sqrt_k, 1j * bc.B * sqrt_k
+    s = solve_linear(a_part + b_part, -(a_part - b_part))
     return ScatteringMatrix(S=s, k=float(np.sqrt(ch.energy)), open_mask=ch.open_mask())
 
 
@@ -165,26 +164,24 @@ class FinalStateWave:
     momenta: np.ndarray
     amplitudes: np.ndarray  # S[:, j]
 
+    def _waves(self, x: float) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, psi') on every line at x: the outgoing parts
+        S_ij exp(+i k_i x)/sqrt(k_i) and the incoming part on line j."""
+        ik = 1j * self.momenta
+        out = self.amplitudes * np.exp(ik * x) / np.sqrt(self.momenta)
+        inc = np.zeros_like(out)
+        inc[self.j] = np.exp(-ik[self.j] * x) / np.sqrt(self.momenta[self.j])
+        return out + inc, ik * (out - inc)
+
     def value(self, i: int, x: float) -> complex:
-        k = self.momenta
-        out = self.amplitudes[i] * np.exp(1j * k[i] * x) / np.sqrt(k[i])
-        if i == self.j:
-            out += np.exp(-1j * k[self.j] * x) / np.sqrt(k[self.j])
-        return complex(out)
+        return complex(self._waves(x)[0][i])
 
     def derivative(self, i: int, x: float) -> complex:
-        k = self.momenta
-        out = 1j * k[i] * self.amplitudes[i] * np.exp(1j * k[i] * x) / np.sqrt(k[i])
-        if i == self.j:
-            out += -1j * k[self.j] * np.exp(-1j * k[self.j] * x) / np.sqrt(k[self.j])
-        return complex(out)
+        return complex(self._waves(x)[1][i])
 
     def boundary_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """(Psi(0), Psi'(0)) across all lines."""
-        n = self.momenta.shape[0]
-        vals = np.array([self.value(i, 0.0) for i in range(n)])
-        ders = np.array([self.derivative(i, 0.0) for i in range(n)])
-        return vals, ders
+        return self._waves(0.0)
 
 
 def final_state(bc: BoundaryCondition, ch: ChannelSet, j: int) -> FinalStateWave:

@@ -147,13 +147,12 @@ def _matrix_to_json(mat: np.ndarray) -> list:
 
 
 def _matrix_from_json(data, n: int) -> np.ndarray:
-    mat = np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in data],
-        dtype=np.complex128,
-    )
-    if mat.shape != (n, n):
-        raise DimensionMismatchError(f"expected {n}x{n} matrix in JSON data")
-    return mat
+    pairs = np.array(data, dtype=object)
+    if pairs.shape != (n, n, 2):
+        raise DimensionMismatchError(f"expected {n}x{n}x2 [re, im] pairs, got {pairs.shape}")
+    if not set(map(type, pairs.flat)) <= {int, float}:  # no bool, str or null
+        raise TypeError("matrix entries must be JSON numbers")
+    return pairs.astype(np.float64).view(np.complex128)[..., 0]
 
 
 def bc_to_dict(bc: BoundaryCondition) -> dict:
@@ -170,16 +169,15 @@ def bc_from_dict(data: dict) -> BoundaryCondition:
     """Inverse of :func:`bc_to_dict`. Raises InvalidParameterError when a
     key or an entry is missing or has the wrong type, shape or value."""
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):  # 3.7, "3"
+            raise TypeError(f"n must be an integer, got {n!r}")
         return BoundaryCondition(
             n, _matrix_from_json(data["A"], n), _matrix_from_json(data["B"], n)
         )
-    except (LookupError, TypeError, ValueError) as exc:  # KeyError, IndexError
-        error = (
-            _MalformedShapeError
-            if isinstance(exc, DimensionMismatchError)
-            else InvalidParameterError
-        )
+    except (KeyError, TypeError, ValueError) as exc:
+        shape = isinstance(exc, DimensionMismatchError)
+        error = _MalformedShapeError if shape else InvalidParameterError
         raise error(f"malformed boundary-condition config: {exc}") from exc
 
 

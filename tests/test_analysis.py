@@ -7,6 +7,7 @@ import pytest
 
 from qstar import (
     FilterN3,
+    FluxCurve,
     GateN4,
     MomentumDistribution,
     NoBandError,
@@ -235,6 +236,15 @@ class TestFlux:
         curve = flux_curve(FLAT_A, RHO, 4.0, (0.25, 0.5, 0.75, 1.0))
         assert curve.linearity_deviation() < 0.25
 
+    def test_linearity_deviation_of_a_zero_curve(self):
+        assert FluxCurve((0.5, 1.0), (0.0, 0.0)).linearity_deviation() == 0.0
+
+    def test_zero_control_potential_in_band_mode(self):
+        # U = 0 < V: every momentum lies above the control threshold.
+        rep = flux_report(GateN4(a=1.0, U=0.0, V=0.5), RHO, 2.0)
+        assert rep.below_threshold == 0.0
+        assert rep.total == rep.above_threshold > 0.0
+
     def test_working_range_must_stay_below_fermi_momentum(self):
         with pytest.raises(ValueError):
             flux(GateN4(a=FLAT_A, U=9.0), RHO, 2.0)
@@ -325,6 +335,14 @@ class TestConstantDensityFlux:
                 x = getattr(fast, part)
                 assert np.isfinite(x) and x >= 0.0
                 assert abs(x - getattr(slow, part)) <= 1e-12
+
+    @pytest.mark.parametrize("a", [1e155, 1e200, 1e300])
+    def test_finite_where_beta_overflows(self, a):
+        # beta = 2a^2 is inf; both parts, of order ln(beta)/beta^2, are 0.
+        # (The quadrature over k is no reference here: its a**2 overflows.)
+        for u, k_f, rho in ((1.0, 4.0, 1.0), (0.3, 2.5, 1.7)):
+            rep = flux_report(GateN4(a=a, U=u), MomentumDistribution.constant(rho), k_f)
+            assert (rep.below_threshold, rep.above_threshold, rep.total) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("k_f", [np.inf, np.nan, 0.0])
     def test_fermi_momentum_must_be_positive_and_finite(self, k_f):

@@ -14,11 +14,14 @@ from qstar import (
     GraphVertex,
     InternalEdge,
     InvalidParameterError,
+    ScatteringMatrix,
     SingularSystemError,
     build_recipe,
     compound_smatrix,
     convergence_study,
+    graph_from_dict,
     graph_from_json,
+    graph_to_dict,
     graph_to_json,
     smatrix,
 )
@@ -361,6 +364,8 @@ class TestConvergence:
             convergence_study(f, (0.5, 2.0), ())
         with pytest.raises(InvalidParameterError):
             convergence_study(f, (), (0.1, 0.05))
+        with pytest.raises(InvalidParameterError, match="separations must be positive"):
+            convergence_study(f, (0.5, 2.0), (0.1, -0.05))
 
     def test_open_block_distance_skips_closed_lines(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)
@@ -369,6 +374,12 @@ class TestConvergence:
         exact = smatrix(f.boundary_condition(), f.channels(0.5))
         dist = _open_block_distance(approx, exact)
         assert dist < 0.02
+
+    def test_open_block_distance_without_common_open_line(self):
+        s = np.ones((2, 2), dtype=complex)
+        one = ScatteringMatrix(S=s, k=1.0, open_mask=np.array([True, False]))
+        other = ScatteringMatrix(S=2 * s, k=1.0, open_mask=np.array([False, True]))
+        assert _open_block_distance(one, other) == 0.0
 
 
 class TestSmallSeparation:
@@ -418,6 +429,20 @@ class TestGraphValidation:
                 vertices=(GraphVertex("a", 0.0),),
                 lines=(ExternalLine("zz", 0.0),),
             )
+        with pytest.raises(InvalidParameterError, match="'a'-'zz' references unknown"):
+            CompoundGraph(
+                vertices=(GraphVertex("a", 0.0),),
+                lines=(ExternalLine("a", 0.0),),
+                edges=(InternalEdge("a", "zz", 1.0),),
+            )
+
+    @pytest.mark.parametrize("vertices, message", [
+        ((GraphVertex("a", 0.0), GraphVertex("a", 1.0)), "duplicate vertex ids"),
+        ((), "at least one vertex"),
+    ], ids=["duplicate", "empty"])
+    def test_vertex_list_checked(self, vertices, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            CompoundGraph(vertices=vertices, lines=())
 
     def test_too_few_lines_for_smatrix(self):
         g = CompoundGraph(
@@ -449,3 +474,17 @@ class TestGraphJson:
     def test_malformed_config(self):
         with pytest.raises(InvalidParameterError):
             graph_from_json('{"vertices": [{"id": "a"}], "lines": []}')
+
+    @pytest.mark.parametrize("group, key, value", [
+        ("vertices", "strength", "1.5"),
+        ("vertices", "strength", True),
+        ("vertices", "strength", None),
+        ("lines", "U", "0"),
+        ("edges", "d", "1.0"),
+        ("edges", "phi", False),
+    ])
+    def test_values_must_be_json_numbers(self, group, key, value):
+        data = graph_to_dict(build_recipe(DeltaChainRecipe(FilterN3(1.0, 3.0, 1.0), d=0.1)))
+        data[group][0][key] = value
+        with pytest.raises(InvalidParameterError, match="expected a number"):
+            graph_from_dict(data)

@@ -105,6 +105,15 @@ class TestSweep:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("k, message", [
+        ("0.1:2", "expected lo:hi:steps, got '0.1:2'"),
+        ("0.1:2:ten", "bad momentum range '0.1:2:ten'"),
+    ], ids=["two-parts", "not-a-number"])
+    def test_malformed_range_exits_2(self, k, message, capsys):
+        code, out, err = run_cli(["sweep", "--device", "n4", "--a", "1", "--k", k], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_n3_requires_b(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--device", "n3", "--a", "1", "--k", "0.1:2:10"], capsys
@@ -355,6 +364,19 @@ class TestReports:
         assert len(eps) == 4
         assert all(b < a for a, b in zip(eps, eps[1:]))
 
+    def test_flux_report_where_beta_overflows(self, capsys):
+        # 2a^2 overflows to inf; J underflows to 0 long before.
+        code, out, _ = run_cli(["report", "flux", "--a", "1e155", "--U", "1", "--kF", "4"], capsys)
+        assert code == 0
+        assert json.loads(out)["J"] == 0.0
+
+    def test_converge_report_fields_are_the_device_fields(self, capsys):
+        argv = ["report", "converge", "--a", "0.9", "--halvings", "1", "--k-grid", "2"]
+        n3 = json.loads(run_cli([*argv, "--recipe", "n3", "--b", "2"], capsys)[1])
+        n4 = json.loads(run_cli([*argv, "--recipe", "n4", "--U", "0.5"], capsys)[1])
+        assert (n3["a"], n3["b"], n3["U"]) == (0.9, 2.0, 1.0) and "V" not in n3
+        assert (n4["a"], n4["U"], n4["V"]) == (0.9, 0.5, 0.0) and "b" not in n4
+
     def test_converge_without_separations_exits_2(self, capsys):
         code, out, err = run_cli(
             ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
@@ -427,6 +449,19 @@ class TestSmatrix:
         assert code == 2
         assert out == ""
         assert err == f"qstar: --bc takes no device options: {named}\n"
+
+    @pytest.mark.parametrize("options, message", [
+        (["--bc", "BC"], "--bc requires --potentials u1,u2,..."),
+        (["--bc", "BC", "--potentials", "0,0"], "expected 3 potentials, got 2"),
+        ([], "give either --device or --bc"),
+    ], ids=["no-potentials", "potential-count", "neither"])
+    def test_incomplete_options_exit_2(self, tmp_path, capsys, options, message):
+        path = tmp_path / "bc.json"
+        path.write_text(bc_to_json(make_st_form(3, 1, [[1.0, 3.0]])))
+        argv = ["smatrix", *[str(path) if o == "BC" else o for o in options], "--k", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"qstar: {message}\n"
 
     def test_device_without_a_exits_2(self, capsys):
         code, out, err = run_cli(["smatrix", "--device", "n4", "--k", "1.5"], capsys)
@@ -519,6 +554,20 @@ class TestGraph:
         path.write_text('{"vertices": []}')
         code, _, err = run_cli(["graph", str(path), "--E", "1.0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("group, key, value", [
+        ("vertices", "strength", "1.5"),
+        ("vertices", "strength", True),
+        ("lines", "U", "0"),
+        ("edges", "d", "1.0"),
+    ])
+    def test_non_numeric_config_value_exits_2(self, chain_config, capsys, group, key, value):
+        data = json.loads(chain_config.read_text())
+        data[group][0][key] = value
+        chain_config.write_text(json.dumps(data))
+        code, out, err = run_cli(["graph", str(chain_config), "--E", "4.0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("qstar: config error: malformed graph config: expected a number")
 
     def test_resonant_energy_exits_3(self, tmp_path, capsys):
         path = tmp_path / "ring.json"

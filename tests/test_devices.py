@@ -132,6 +132,17 @@ class TestFlatFilter:
     def test_flat_flag(self, flat, g4):
         assert flat.flat and not g4.flat
 
+    def test_peak_is_a_quarter(self, flat):
+        assert flat.peak_transmission == pytest.approx(0.25, rel=1e-15)
+        assert flat.peak_transmission == pytest.approx(n4_transmission(flat, 1.0), rel=1e-15)
+
+    @pytest.mark.parametrize("a", [1e80, 1e100, 1e150, 1e200])
+    def test_gate_properties_at_extreme_coupling(self, a):
+        # beta = 2a^2 stays a product: no OverflowError from a**4.
+        g = GateN4(a=a)
+        assert g.peak_transmission == 1.0
+        assert not g.flat
+
 
 def _n3_rational(f, k):
     """Two-branch rational form of the three-line transmission, finite for
@@ -328,6 +339,8 @@ class TestParameterValidation:
             GateN4(a=-1.0)
         with pytest.raises(ValueError):
             GateN4(a=1.0, U=-0.5)
+        with pytest.raises(ValueError, match="controlling potential U"):
+            FilterN3(a=1.0, b=1.0, U=-0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameters_rejected(self, bad):
@@ -369,6 +382,8 @@ class TestMomentumDistribution:
             MomentumDistribution.tabulated([0.0, 1.0], [0.5, -0.5])
         with pytest.raises(ValueError):
             MomentumDistribution.tabulated([1.0, 0.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="matching 1-D"):
+            MomentumDistribution.tabulated([0.0, 1.0, 2.0], [0.5, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_inputs_rejected(self, bad):

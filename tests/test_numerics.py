@@ -12,6 +12,7 @@ from qstar import (
     find_root,
     integrate,
     n3_transmission,
+    numerics,
     solve_linear,
 )
 
@@ -79,8 +80,10 @@ class TestSolveLinear:
     def test_nonfinite_rejected(self):
         a = np.eye(2)
         a[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix entries"):
             solve_linear(a, np.ones(2))
+        with pytest.raises(ValueError, match="right-hand side entries"):
+            solve_linear(np.eye(2), [1.0, np.inf])
 
     def test_operands_unchanged(self):
         # Elimination works on copies: the caller's a and b survive, for a
@@ -138,12 +141,13 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda x: x, 1.0, 1.0)
 
-    def test_depth_exhaustion(self):
+    def test_depth_exhaustion(self, monkeypatch):
         def nasty(x):
             return np.sign(x - np.pi / 6)  # jump far from any breakpoint
 
+        monkeypatch.setattr(numerics, "QUAD_MAX_DEPTH", 3)
         with pytest.raises(NoConvergenceError):
-            integrate(nasty, 0.0, 1.0, tol=Tolerance(1e-14, 0.0), max_depth=3)
+            integrate(nasty, 0.0, 1.0, tol=Tolerance(1e-14, 0.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_integrand_raises_at_once(self, bad):
@@ -182,6 +186,12 @@ class TestFindRoot:
 
     def test_endpoint_root(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
+        assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
+
+    def test_iteration_budget(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ROOT_MAX_ITER", 3)
+        with pytest.raises(NoConvergenceError, match="within 3 iterations"):
+            find_root(lambda x: x * x - 2.0, 1.0, 2.0)
 
     def test_result_bracketed_and_bracket_shrinks(self):
         trace = []

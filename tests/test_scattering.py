@@ -5,9 +5,11 @@ from qstar import (
     AtThresholdError,
     ChannelSet,
     ClosedIncomingChannelError,
+    DimensionMismatchError,
     FilterN3,
     GateN4,
     final_state,
+    make_delta,
     make_st_form,
     n3_amplitudes,
     n3_transmission,
@@ -161,6 +163,31 @@ class TestWavefunction:
             residual = np.abs(bc.A @ vals + bc.B @ ders).max()
             assert residual < 1e-10
 
+    def test_value_and_derivative_off_the_vertex(self):
+        # psi_i(x) = S_ij e^{ik_i x}/sqrt(k_i) + delta_ij e^{-ik_j x}/sqrt(k_j),
+        # term by term, and psi' its x-derivative, on every line.
+        rng = rng_for("wave-off-vertex")
+        for _ in range(25):
+            bc = random_st_coupling(rng)
+            ch = random_channels(rng, bc.n)
+            open_lines = np.flatnonzero(ch.open_mask())
+            if open_lines.size == 0:
+                continue
+            j = int(open_lines[0])
+            wave = final_state(bc, ch, j)
+            k, s = ch.momenta(), wave.amplitudes
+            x = float(rng.uniform(0.0, 3.0))
+            out = s * np.exp(1j * k * x) / np.sqrt(k)
+            inc = np.where(np.arange(bc.n) == j, np.exp(-1j * k * x) / np.sqrt(k), 0.0)
+            scale = np.abs(out) + np.abs(inc)
+            for i in range(bc.n):
+                assert abs(wave.value(i, x) - (out[i] + inc[i])) <= 1e-15 * scale[i] * 4
+                assert abs(wave.derivative(i, x) - 1j * k[i] * (out[i] - inc[i])) <= (
+                    1e-15 * abs(k[i]) * scale[i] * 4)
+            vals, ders = wave.boundary_vectors()
+            assert vals.tolist() == [wave.value(i, 0.0) for i in range(bc.n)]
+            assert ders.tolist() == [wave.derivative(i, 0.0) for i in range(bc.n)]
+
     def test_evanescent_decay(self, filter_n3):
         ch = filter_n3.channels(0.5)
         bc = filter_n3.boundary_condition()
@@ -172,6 +199,17 @@ class TestWavefunction:
         ch = filter_n3.channels(0.5)
         with pytest.raises(ClosedIncomingChannelError):
             wavefunction(filter_n3.boundary_condition(), ch, 2, 0.0, 0)
+
+    def test_bad_line_or_position_rejected(self, filter_n3):
+        ch, bc = filter_n3.channels(1.5), filter_n3.boundary_condition()
+        with pytest.raises(DimensionMismatchError, match="line index 3 out of range"):
+            final_state(bc, ch, 3)
+        with pytest.raises(ValueError, match="outward coordinate"):
+            wavefunction(bc, ch, 0, -0.5, 1)
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="coupling degree 3 != channel count 2"):
+            smatrix(make_delta(3, 1.0), ChannelSet(2, (0.0, 0.0), 1.0))
 
 
 class TestChannelSet:
@@ -189,6 +227,8 @@ class TestChannelSet:
             ChannelSet(3, (0.0, 0.0), 1.0)
         with pytest.raises(ValueError):
             ChannelSet(2, (0.0, np.inf), 1.0)
+        with pytest.raises(ValueError, match="energy must be finite"):
+            ChannelSet(2, (0.0, 0.0), np.nan)
 
     def test_nudge_off_threshold(self):
         ks = np.array([0.5, 1.0 - 1e-13, 1.0 + 1e-11, 2.0])

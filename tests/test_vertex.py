@@ -102,6 +102,18 @@ class TestMakeDelta:
         psi = np.array([2.0, 2.0, 2.0, 2.0])
         assert np.abs(bc.A[:3] @ psi).max() == 0.0
 
+    def test_invalid_inputs(self):
+        with pytest.raises(DimensionMismatchError, match="need n >= 1"):
+            make_delta(0, 1.0)
+        with pytest.raises(ValueError, match="strength must be finite"):
+            make_delta(2, np.inf)
+
+
+class TestBoundaryCondition:
+    def test_shape_checked(self):
+        with pytest.raises(DimensionMismatchError, match="A and B must be 2x2"):
+            BoundaryCondition(2, np.eye(3), np.eye(2))
+
 
 class TestValidate:
     def test_st_form_diagnostics(self):
@@ -197,6 +209,13 @@ class TestJson:
         {"n": 1, "A": [[[1.0]]], "B": [[[0.0, 0.0]]]},     # entry not a pair
         {"n": 1, "A": [[[1e400, 0.0]]], "B": [[[0.0, 0.0]]]},  # not finite
         {"n": 2, "A": [[[0, 0]]], "B": [[[1, 0]]]},        # wrong shape
+        {"n": 1.7, "A": [[[1.0, 0.0]]], "B": [[[0.0, 0.0]]]},   # not read as 1
+        {"n": True, "A": [[[1.0, 0.0]]], "B": [[[0.0, 0.0]]]},
+        {"n": 1, "A": [[[1.0, 2.0, 99.0]]], "B": [[[0.0, 0.0]]]},  # not 1+2j
+        {"n": 1, "A": [[[True, False]]], "B": [[[0.0, 0.0]]]},     # not 1+0j
+        {"n": 1, "A": [[[1.0, 0.0]]], "B": [[[True, 0.5]]]},
+        {"n": 1, "A": [[[1.0, 0.0]]], "B": [[["1.5", 0.0]]]},
+        {"n": 1, "A": [[[1.0, 0.0]]], "B": [[[None, 0.0]]]},
     ])
     def test_malformed_dict_is_invalid_parameter(self, data):
         with pytest.raises(InvalidParameterError,
