@@ -31,7 +31,6 @@ from .analysis import (
 from .assembly import (
     CompoundGraph,
     ConvergenceReport,
-    DeltaChainRecipe,
     ExternalLine,
     GraphVertex,
     InternalEdge,
@@ -65,7 +64,7 @@ from .exceptions import (
     SingularMatrixError,
     SingularSystemError,
 )
-from .numerics import Tolerance, find_root, integrate, solve_linear
+from .numerics import find_root, integrate, solve_linear
 from .scattering import (
     ChannelSet,
     FinalStateWave,

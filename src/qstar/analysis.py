@@ -23,19 +23,13 @@ from .devices import (
     n4_transmission,
 )
 from .exceptions import NoBandError, NoPoleError
-from .numerics import Tolerance, find_root, integrate
+from .numerics import find_root, integrate
 
 #: Coefficient of the sharp-peak bandwidth estimate, W ~ C U/b^4. The closed
 #: form of :func:`bandwidth` gives W b^4/U = (16a^2 - 4 sqrt(2) a (1 + a^2))
 #: (1 + O(1/b^4)); C is its a = 1 value, 16 - 8 sqrt(2) = 4.686 (2.818 at
 #: a = 0.8), rounded to the 4.7 that the bandwidth report golden pins.
 BANDWIDTH_COEFFICIENT = 4.7
-
-#: Root-finding tolerance of the pole in :func:`locate_pole`.
-POLE_TOLERANCE = Tolerance(abs_tol=1e-13, rel_tol=4e-16)
-
-#: Quadrature tolerance of :func:`flux_report`.
-FLUX_TOLERANCE = Tolerance(abs_tol=1e-12, rel_tol=1e-10)
 
 # sqrt(2) as a double plus the rounding error of that double.
 _SQRT2 = math.sqrt(2.0)
@@ -157,7 +151,7 @@ def locate_pole(device: FilterN3 | GateN4) -> PoleReport:
         w[2] = -w[2]  # line 3, the controlling potential U
         return _second_sheet_det(device.coupling, w)
 
-    k_pole = find_root(det, lo, 2.0 * closed, tol=POLE_TOLERANCE)
+    k_pole = find_root(det, lo, 2.0 * closed)
     return PoleReport(k_pole=k_pole, closed_form=closed, residual=abs(det(k_pole)))
 
 
@@ -208,11 +202,11 @@ def _constant_density_gate_flux(g: GateN4, rho: float, k_F: float) -> tuple[floa
     exactly linear in U (rho U/8 on the flat gate, beta = 1). Above
     threshold, w = sqrt(1 - U/k^2) turns rho k P dk into
     rho U (beta/(1 + beta))^2 w dw / ((1 + w)^2 (1 + beta w)^2), which is
-    smooth on [0, w_F], w_F = sqrt(1 - U/k_F^2), and is integrated with
-    FLUX_TOLERANCE. (beta/(1 + beta))^2 is ``g.peak_transmission``. Products
-    stand in for powers, so an extreme a overflows to inf instead of
-    raising; both parts then tend to 0 as ln(beta)/beta^2, and J_below is 0
-    once beta^2 overflows.
+    smooth on [0, w_F], w_F = sqrt(1 - U/k_F^2), and is integrated to
+    numerics' QUAD_ABS_TOL and QUAD_REL_TOL. (beta/(1 + beta))^2 is
+    ``g.peak_transmission``. Products stand in for powers, so an extreme a
+    overflows to inf instead of raising; both parts then tend to 0 as
+    ln(beta)/beta^2, and J_below is 0 once beta^2 overflows.
     """
     beta = 2.0 * g.a * g.a
     rho_peak = rho * g.peak_transmission
@@ -234,7 +228,7 @@ def _constant_density_gate_flux(g: GateN4, rho: float, k_F: float) -> tuple[floa
 
     k_th = g.threshold
     w_F = math.sqrt((k_F - k_th) * (k_F + k_th)) / k_F
-    return below, integrate(tail, 0.0, w_F, tol=FLUX_TOLERANCE)
+    return below, integrate(tail, 0.0, w_F)
 
 
 def _k_quadrature_flux(
@@ -250,10 +244,10 @@ def _k_quadrature_flux(
     k_th = g.threshold
     cuts = [c for c in (np.sqrt(g.V), k_th, *dist.knots) if 0.0 < c < k_F]
     if g.U == 0.0:
-        return 0.0, integrate(integrand, 0.0, k_F, tol=FLUX_TOLERANCE, breakpoints=cuts)
+        return 0.0, integrate(integrand, 0.0, k_F, breakpoints=cuts)
     return (
-        integrate(integrand, 0.0, k_th, tol=FLUX_TOLERANCE, breakpoints=cuts),
-        integrate(integrand, k_th, k_F, tol=FLUX_TOLERANCE, breakpoints=cuts),
+        integrate(integrand, 0.0, k_th, breakpoints=cuts),
+        integrate(integrand, k_th, k_F, breakpoints=cuts),
     )
 
 

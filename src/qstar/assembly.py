@@ -183,27 +183,15 @@ MAGNETIC = "magnetic"
 V5_DELTA = "v5-delta"
 
 
-@dataclass(frozen=True)
-class DeltaChainRecipe:
-    """Chain approximating a device vertex at finite separation d."""
-
-    target: FilterN3 | GateN4
-    d: float
-    variant: str = MAGNETIC
-
-    def __post_init__(self):
-        if not self.d > 0:
-            raise InvalidParameterError(f"separation d must be positive, got {self.d!r}")
-        if self.variant not in (MAGNETIC, V5_DELTA):
-            raise InvalidParameterError(f"unknown variant {self.variant!r}")
-
-
-def build_recipe(recipe: DeltaChainRecipe) -> CompoundGraph:
-    """Compound graph realizing the recipe's device vertex by the rule of
-    the module docstring."""
-    d = recipe.d
-    T = recipe.target.coupling
-    potentials = recipe.target.potentials
+def build_recipe(target: FilterN3 | GateN4, d: float, variant: str = MAGNETIC) -> CompoundGraph:
+    """Chain realizing ``target``'s vertex at separation d by the rule of
+    the module docstring; d must be positive and finite."""
+    if not 0 < d < math.inf:
+        raise InvalidParameterError(f"separation d must be positive and finite, got {d!r}")
+    if variant not in (MAGNETIC, V5_DELTA):
+        raise InvalidParameterError(f"unknown variant {variant!r}")
+    T = target.coupling
+    potentials = target.potentials
     n, m = len(potentials), len(T)
     rows = [0.0] * m
     cols = [0.0] * (n - m)
@@ -217,7 +205,7 @@ def build_recipe(recipe: DeltaChainRecipe) -> CompoundGraph:
             cols[nu] += w
             if t >= 0:
                 edges.append(InternalEdge(src, dst, d / w))
-            elif recipe.variant == MAGNETIC:
+            elif variant == MAGNETIC:
                 edges.append(InternalEdge(src, dst, d / w, phase=np.pi))
             else:
                 mid = f"v{n + len(mids) + 1}"
@@ -276,13 +264,11 @@ def convergence_study(
     ds = tuple(float(d) for d in d_sequence)
     if not ks or not ds:
         raise InvalidParameterError("need at least one momentum and one separation")
-    if any(d <= 0 for d in ds):
-        raise InvalidParameterError("separations must be positive")
     bc = target.boundary_condition()
     references = [smatrix(bc, target.channels(k)) for k in ks]
     errors = []
     for d in ds:
-        graph = build_recipe(DeltaChainRecipe(target=target, d=d, variant=variant))
+        graph = build_recipe(target, d, variant)
         eps = 0.0
         for k, ref in zip(ks, references):
             approx = compound_smatrix(graph, k**2)

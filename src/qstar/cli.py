@@ -25,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import analysis, assembly, devices, scattering, vertex
+from . import analysis, assembly, devices, numerics, scattering, vertex
 from .exceptions import InvalidParameterError, QStarError
 
 EXIT_OK = 0
@@ -172,13 +172,12 @@ def _cmd_report_bandwidth(args) -> int:
 def _cmd_report_pole(args) -> int:
     device = _device_from_args(args, args.device, "--device")
     rep = analysis.locate_pole(device)
-    tol = analysis.POLE_TOLERANCE
     payload = {
         "kind": "pole",
         "device": f"n{len(device.potentials)}",
         **asdict(device),  # a, U and b (filter) or V (gate)
         **asdict(rep),
-        "tolerances": {"root_abs": tol.abs_tol, "root_rel": tol.rel_tol},
+        "tolerances": {"root_abs": numerics.ROOT_ABS_TOL, "root_rel": numerics.ROOT_REL_TOL},
     }
     _write_json(args.output, payload)
     return EXIT_OK
@@ -188,7 +187,6 @@ def _cmd_report_flux(args) -> int:
     dist = devices.MomentumDistribution.constant(args.rho)
     gate = _device_from_args(args, "n4", "--device")
     rep = analysis.flux_report(gate, dist, args.kF)
-    tol = analysis.FLUX_TOLERANCE
     payload = {
         "kind": "flux",
         **asdict(gate),
@@ -197,7 +195,9 @@ def _cmd_report_flux(args) -> int:
         "J": rep.total,
         "below_threshold_part": rep.below_threshold,
         "above_threshold_part": rep.above_threshold,
-        "tolerances": {"quadrature_abs": tol.abs_tol, "quadrature_rel": tol.rel_tol},
+        "tolerances": {
+            "quadrature_abs": numerics.QUAD_ABS_TOL, "quadrature_rel": numerics.QUAD_REL_TOL,
+        },
     }
     if args.U_grid:
         us = [float(u) for u in args.U_grid.split(",")]

@@ -269,16 +269,15 @@ class MomentumDistribution:
     #: The value of a :meth:`constant` density, None for any other.
     rho: float | None = None
 
-    def __init__(self, density_fn, label: str):
+    def __init__(self, density_fn):
         self._density = density_fn
-        self.label = label
 
     @classmethod
     def constant(cls, rho: float) -> "MomentumDistribution":
         """Flat distribution (filled Fermi sea below the working range)."""
         if not 0 <= rho < np.inf:
             raise ValueError(f"density must be finite and nonnegative, got {rho!r}")
-        dist = cls(lambda k: rho, f"constant({rho!r})")
+        dist = cls(lambda k: rho)
         dist.rho = rho
         return dist
 
@@ -298,7 +297,7 @@ class MomentumDistribution:
         def interp(k, ks=ks, vals=vals):
             return float(np.interp(k, ks, vals))
 
-        dist = cls(interp, "tabulated")
+        dist = cls(interp)
         dist.knots = tuple(ks.tolist())
         return dist
 

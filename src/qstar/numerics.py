@@ -5,8 +5,8 @@ and maps out square-root cusps at them, and bracketed root finding.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,23 +22,17 @@ PIVOT_FLOOR = 1e-14
 
 #: Iteration budget of :func:`find_root`.
 ROOT_MAX_ITER = 500
+#: Bracket width at which :func:`find_root` stops:
+#: ``max(ROOT_ABS_TOL, ROOT_REL_TOL * |x|)``.
+ROOT_ABS_TOL = 1e-13
+ROOT_REL_TOL = 4e-16
 
 #: Bisection budget of :func:`integrate`: levels of panels below the first.
 QUAD_MAX_DEPTH = 48
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Mixed absolute/relative tolerance; at least one must be positive."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise ValueError("abs_tol and rel_tol cannot both be zero")
+#: Error target of :func:`integrate`:
+#: ``max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|)``.
+QUAD_ABS_TOL = 1e-12
+QUAD_REL_TOL = 1e-10
 
 
 def solve_linear(a, b) -> np.ndarray:
@@ -129,7 +123,6 @@ def integrate(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: Tolerance | None = None,
     breakpoints: Iterable[float] = (),
 ) -> float:
     """Adaptive Gauss-Kronrod 7/15 quadrature of ``f`` over ``[lo, hi]``.
@@ -144,18 +137,19 @@ def integrate(
     is invisible to the rule.
 
     The error of a panel is estimated as ``|K15 - G7|``. Each panel's share
-    of the target ``max(abs_tol, rel_tol * |integral|)`` is its fraction of
-    ``hi - lo`` (a bisected panel passes half its share to each child), so
-    the shares sum to the target; panels that miss their share are bisected.
+    of the target ``max(QUAD_ABS_TOL, QUAD_REL_TOL * |integral|)`` is its
+    fraction of ``hi - lo`` (a bisected panel passes half its share to each
+    child), so the shares sum to the target; panels that miss their share
+    are bisected.
     A panel that spans only a few ulps in ``x`` is accepted, because
     bisection cannot resolve anything inside it. Raises NoConvergenceError
     when a panel still misses its share after ``QUAD_MAX_DEPTH`` bisections,
-    and ValueError, naming the abscissa, on the first level of panels where
-    ``f`` returns a value that is not finite.
+    and ValueError unless ``lo < hi`` are finite, and, naming the abscissa,
+    on the first level of panels where ``f`` returns a value that is not
+    finite.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    tol = tol or Tolerance()
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got [{lo!r}, {hi!r}]")
     cuts = sorted({float(p) for p in breakpoints if lo < p < hi})
     edges = np.array([lo, *cuts, hi], dtype=np.float64)
     halves = 0.5 * np.diff(edges)
@@ -180,7 +174,7 @@ def integrate(
         g = 2.0 * t * fx.reshape(x.shape)  # dx = 2t dt
         kronrod = radius * (g @ _KRONROD)
         error = np.abs(kronrod - radius * (g @ _GAUSS))
-        target = max(tol.abs_tol, tol.rel_tol * abs(total + kronrod.sum()))
+        target = max(QUAD_ABS_TOL, QUAD_REL_TOL * abs(total + kronrod.sum()))
         ulps = 64.0 * np.finfo(float).eps * np.maximum(np.abs(end), 1.0)
         done = (error <= share * target) | (t1 * t1 - t0 * t0 <= ulps)
         total += float(kronrod[done].sum())
@@ -204,22 +198,20 @@ def find_root(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: Tolerance | None = None,
-    trace: list | None = None,
 ) -> float:
     """Locate a root of ``f`` inside the bracket ``[lo, hi]``.
 
     Secant steps (Illinois weighting) accelerate plain bisection, with a
     forced bisection whenever the bracket fails to halve, so convergence is
     guaranteed. Stops when the bracket width drops below
-    ``max(abs_tol, rel_tol * |x|)``. Raises NoSignChangeError when
-    ``f(lo)`` and ``f(hi)`` have the same sign, and NoConvergenceError after
-    ``ROOT_MAX_ITER`` iterations.
-
-    ``trace``, if given, collects the (lo, hi) bracket per iteration.
+    ``max(ROOT_ABS_TOL, ROOT_REL_TOL * |x|)``. Raises ValueError when a
+    bound is not finite, NoSignChangeError when ``f(lo)`` and ``f(hi)`` have
+    the same sign, and NoConvergenceError after ``ROOT_MAX_ITER``
+    iterations.
     """
-    tol = tol or Tolerance(abs_tol=1e-12, rel_tol=4e-16)
     a, b = float(lo), float(hi)
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"bounds must be finite, got [{lo!r}, {hi!r}]")
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -231,10 +223,8 @@ def find_root(
     side = 0
     force_bisect = False
     for _ in range(ROOT_MAX_ITER):
-        if trace is not None:
-            trace.append((a, b))
         width = b - a
-        if width <= max(tol.abs_tol, tol.rel_tol * max(abs(a), abs(b))):
+        if width <= max(ROOT_ABS_TOL, ROOT_REL_TOL * max(abs(a), abs(b))):
             return 0.5 * (a + b)
         if force_bisect or fb == fa:
             x = 0.5 * (a + b)

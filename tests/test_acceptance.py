@@ -26,7 +26,6 @@ from qstar import (
     build_recipe,
     compound_smatrix,
     convergence_study,
-    DeltaChainRecipe,
     flux_curve,
     flux_report,
     locate_pole,
@@ -216,8 +215,8 @@ def test_criterion_09_delta_chain_convergence():
             )
         if len(variants) == 2:
             d_min = ds[-1]
-            g_mag = build_recipe(DeltaChainRecipe(device, d_min, MAGNETIC))
-            g_v5 = build_recipe(DeltaChainRecipe(device, d_min, V5_DELTA))
+            g_mag = build_recipe(device, d_min, MAGNETIC)
+            g_v5 = build_recipe(device, d_min, V5_DELTA)
             gap = max(
                 _open_block_distance(
                     compound_smatrix(g_mag, k**2), compound_smatrix(g_v5, k**2)

@@ -267,6 +267,39 @@ class TestFlux:
         )
         assert rep.total == pytest.approx(ref, rel=1e-9)
 
+    # (gate, density, k_F, total, below, above), the parts as float.hex,
+    # frozen bit for bit: the V = 0 constant-density route (flat gate
+    # included), tabulated densities and band mode. flux_reports.json
+    # checks the values only to 1e-12.
+    FROZEN = [
+        (GateN4(FLAT_A, 1.0), RHO, 4.0,
+         "0x1.29a25cdd6fe22p-3", "0x1.0000000000000p-3", "0x1.4d12e6eb7f114p-6"),
+        (GateN4(0.9, 0.6), MomentumDistribution.constant(1.7), 2.9,
+         "0x1.1b665a367599fp-3", "0x1.da610402caefep-4", "0x1.71aec1a881103p-6"),
+        (GateN4(1.3, 2.5), MomentumDistribution.constant(0.5), 3.5,
+         "0x1.bb8f75a161e6ap-4", "0x1.6435f4c5c80a8p-4", "0x1.5d66036e67707p-6"),
+        (GateN4(0.3, 0.25), RHO, 4.4,
+         "0x1.6fdbd1b787812p-7", "0x1.51d27a30eb619p-7", "0x1.e0957869c1f8ep-11"),
+        (GateN4(FLAT_A, 1.65),
+         MomentumDistribution.tabulated([0.0, 0.16, 2.23, 4.0], [1.0, 1.3, 0.7, 0.2]), 3.5,
+         "0x1.04b2d95945eb4p-2", "0x1.cf1b237298b71p-3", "0x1.d25479ff98fb0p-6"),
+        (GateN4(1.1, 0.8),
+         MomentumDistribution.tabulated(np.linspace(0.0, 5.0, 6),
+                                        [1.2, 0.9, 1.1, 0.8, 0.6, 0.3]), 4.2,
+         "0x1.67c7131ed78d5p-4", "0x1.2882ee801e133p-4", "0x1.fa2124f5cbd10p-7"),
+        (GateN4(FLAT_A, 1.0, 0.25), RHO, 3.0,
+         "0x1.1dedca2fa8fe1p-3", "0x1.00953566f167ep-3", "0x1.d5894c8b79634p-7"),
+        (GateN4(1.2, 2.0, 0.7), MomentumDistribution.constant(1.3), 3.1,
+         "0x1.1ddb515ff296fp-2", "0x1.f6fb4343da354p-3", "0x1.12ed7df02be2ap-5"),
+    ]
+
+    @pytest.mark.parametrize("g, dist, k_F, total, below, above", FROZEN,
+                             ids=[f"case{i}" for i in range(len(FROZEN))])
+    def test_flux_bits_frozen(self, g, dist, k_F, total, below, above):
+        rep = flux_report(g, dist, k_F)
+        got = (rep.total.hex(), rep.below_threshold.hex(), rep.above_threshold.hex())
+        assert got == (total, below, above)
+
     def test_tabulated_density_kinks_are_split(self):
         # The knot at 0.16 puts a kink below sqrt(U). On the flat gate
         # P = 1/4 there, so the below-threshold part is exactly
@@ -289,7 +322,7 @@ class TestFlux:
 
     def test_flat_gate_report_call_budget(self):
         calls = []
-        dist = MomentumDistribution(lambda k: calls.append(k) or 1.0, "counted")
+        dist = MomentumDistribution(lambda k: calls.append(k) or 1.0)
         flux_report(GateN4(a=FLAT_A, U=1.0), dist, 4.0)
         assert 0 < len(calls) <= 400
 
@@ -301,7 +334,7 @@ class TestConstantDensityFlux:
     @staticmethod
     def _plain(rho):
         # The same density, not marked constant: flux_report integrates in k.
-        return MomentumDistribution(lambda k: rho, "plain")
+        return MomentumDistribution(lambda k: rho)
 
     @pytest.mark.parametrize("a", [0.3, FLAT_A, 0.9, 1.7, 40.0])
     def test_below_threshold_part_is_linear_in_u(self, a):
@@ -354,7 +387,7 @@ class TestConstantDensityFlux:
                 raise RuntimeError("flux_report integrated over a bad k_F")
             return 1.0
 
-        for dist in (RHO, MomentumDistribution(density, "counted")):
+        for dist in (RHO, MomentumDistribution(density)):
             with pytest.raises(ValueError, match="k_F"):
                 flux_report(GateN4(a=0.9, U=1.0), dist, k_f)
 
@@ -368,7 +401,7 @@ class TestConstantDensityFlux:
             return np.nan
 
         with pytest.raises(ValueError, match="integrand"):
-            flux_report(GateN4(a=0.9, U=1.0), MomentumDistribution(density, "nan"), 3.0)
+            flux_report(GateN4(a=0.9, U=1.0), MomentumDistribution(density), 3.0)
 
 
 def _sqrt_mapped_gauss_legendre(f, edges, nodes=40, panels=4):

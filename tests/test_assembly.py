@@ -7,7 +7,6 @@ from qstar import (
     AtThresholdError,
     ChannelSet,
     CompoundGraph,
-    DeltaChainRecipe,
     ExternalLine,
     FilterN3,
     GateN4,
@@ -41,35 +40,34 @@ def _resonant_ring():
     )
 
 
-def _strengths(recipe):
-    return {v.id: v.strength for v in build_recipe(recipe).vertices}
+def _strengths(*args, **kwargs):
+    return {v.id: v.strength for v in build_recipe(*args, **kwargs).vertices}
 
 
 class TestRecipeStrengths:
     def test_filter_example(self):
-        r = DeltaChainRecipe(FilterN3(a=1.0, b=3.0, U=1.0), d=0.1)
-        assert _strengths(r) == {"v1": 60.0, "v2": 0.0, "v3": -20.0}
+        v = _strengths(FilterN3(a=1.0, b=3.0, U=1.0), d=0.1)
+        assert v == {"v1": 60.0, "v2": 0.0, "v3": -20.0}
 
     def test_gate_v5_example(self):
-        r = DeltaChainRecipe(GateN4(a=1.0, U=1.0), d=0.1, variant=V5_DELTA)
-        v = _strengths(r)
+        v = _strengths(GateN4(a=1.0, U=1.0), d=0.1, variant=V5_DELTA)
         assert v == pytest.approx(
             {"v1": 0.0, "v2": -20.0, "v3": -10.0, "v4": -30.0, "v5": -80.0}
         )
 
     def test_free_couplings_when_unit_parameters(self):
-        r = DeltaChainRecipe(FilterN3(a=1.0, b=1.0, U=1.0), d=0.05)
-        assert all(v == 0.0 for v in _strengths(r).values())
+        v = _strengths(FilterN3(a=1.0, b=1.0, U=1.0), d=0.05)
+        assert all(s == 0.0 for s in v.values())
 
     def test_strengths_scale_inversely_with_d(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)
-        v1 = _strengths(DeltaChainRecipe(f, d=0.1))
-        v2 = _strengths(DeltaChainRecipe(f, d=0.05))
+        v1 = _strengths(f, d=0.1)
+        v2 = _strengths(f, d=0.05)
         for key in v1:
             assert v2[key] == pytest.approx(2 * v1[key], rel=1e-14)
 
     def test_gate_magnetic_strengths(self):
-        v = _strengths(DeltaChainRecipe(GateN4(a=FLAT_A, U=1.0), d=0.1))
+        v = _strengths(GateN4(a=FLAT_A, U=1.0), d=0.1)
         a = FLAT_A
         assert v["v1"] == pytest.approx(2 * a * (a - 1) / 0.1)
         assert v["v2"] == v["v1"]
@@ -77,10 +75,11 @@ class TestRecipeStrengths:
         assert v["v4"] == v["v3"]
 
     def test_invalid_inputs(self):
-        with pytest.raises(InvalidParameterError):
-            DeltaChainRecipe(FilterN3(1.0, 3.0, 1.0), d=0.0)
-        with pytest.raises(InvalidParameterError):
-            DeltaChainRecipe(GateN4(1.0, 1.0), d=0.1, variant="bogus")
+        for d in (0.0, -0.1, np.inf, np.nan):
+            with pytest.raises(InvalidParameterError, match=f"positive and finite, got {d!r}"):
+                build_recipe(FilterN3(1.0, 3.0, 1.0), d=d)
+        with pytest.raises(InvalidParameterError, match="unknown variant"):
+            build_recipe(GateN4(1.0, 1.0), d=0.1, variant="bogus")
 
 
 def _hand_built_graph(device, d, variant):
@@ -134,7 +133,7 @@ class TestRecipeFromCoupling:
             d = float(10.0 ** rng.uniform(-8, -1))
             for device in (FilterN3(a, b, U), GateN4(a, U, V)):
                 for variant in (MAGNETIC, V5_DELTA):
-                    got = build_recipe(DeltaChainRecipe(device, d, variant))
+                    got = build_recipe(device, d, variant)
                     want = _hand_built_graph(device, d, variant)
                     if isinstance(device, FilterN3) or variant == MAGNETIC:
                         assert got == want
@@ -154,14 +153,12 @@ class TestRecipeFromCoupling:
 
     def test_filter_variants_build_the_same_graph(self):
         f = FilterN3(a=0.83, b=2.4, U=1.3)
-        assert build_recipe(DeltaChainRecipe(f, 0.01, MAGNETIC)) == build_recipe(
-            DeltaChainRecipe(f, 0.01, V5_DELTA)
-        )
+        assert build_recipe(f, 0.01, MAGNETIC) == build_recipe(f, 0.01, V5_DELTA)
 
 
 class TestBuildRecipe:
     def test_filter_topology(self):
-        g = build_recipe(DeltaChainRecipe(FilterN3(a=1.0, b=3.0, U=1.0), d=0.1))
+        g = build_recipe(FilterN3(a=1.0, b=3.0, U=1.0), d=0.1)
         assert [v.id for v in g.vertices] == ["v1", "v2", "v3"]
         assert [l.U for l in g.lines] == [0.0, 0.0, 1.0]
         lengths = {(e.src, e.dst): e.length for e in g.edges}
@@ -169,16 +166,14 @@ class TestBuildRecipe:
         assert lengths[("v1", "v3")] == pytest.approx(0.1 / 3)
 
     def test_gate_magnetic_topology(self):
-        g = build_recipe(DeltaChainRecipe(GateN4(a=1.0, U=1.0), d=0.1))
+        g = build_recipe(GateN4(a=1.0, U=1.0), d=0.1)
         phases = {(e.src, e.dst): e.phase for e in g.edges}
         assert phases[("v2", "v4")] == pytest.approx(np.pi)
         assert phases[("v1", "v3")] == 0.0
         assert len(g.vertices) == 4 and len(g.edges) == 4
 
     def test_gate_v5_topology(self):
-        g = build_recipe(
-            DeltaChainRecipe(GateN4(a=1.0, U=1.0), d=0.1, variant=V5_DELTA)
-        )
+        g = build_recipe(GateN4(a=1.0, U=1.0), d=0.1, variant=V5_DELTA)
         assert len(g.vertices) == 5 and len(g.edges) == 5
         halves = [e for e in g.edges if "v5" in (e.src, e.dst)]
         assert len(halves) == 2
@@ -246,7 +241,7 @@ class TestCompoundSmatrix:
 
     def test_chain_approaches_device_amplitudes(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)
-        graph = build_recipe(DeltaChainRecipe(f, d=1e-3))
+        graph = build_recipe(f, d=1e-3)
         approx = compound_smatrix(graph, 4.0)
         exact = smatrix(f.boundary_condition(), f.channels(2.0))
         assert np.abs(approx.S - exact.S).max() < 0.02
@@ -317,7 +312,7 @@ class TestCompoundSmatrix:
 
     def test_engine_guard_matches_star_smatrix(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)
-        graph = build_recipe(DeltaChainRecipe(f, d=0.01))
+        graph = build_recipe(f, d=0.01)
         bc = f.boundary_condition()
         for energy, error in ((-1.0, ValueError), (1.0, AtThresholdError)):
             with pytest.raises(error) as star:
@@ -329,7 +324,7 @@ class TestCompoundSmatrix:
 
     def test_open_mask_reflects_potentials(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)
-        graph = build_recipe(DeltaChainRecipe(f, d=0.01))
+        graph = build_recipe(f, d=0.01)
         sm = compound_smatrix(graph, 0.25)
         assert list(sm.open_mask) == [True, True, False]
 
@@ -344,15 +339,15 @@ class TestConvergence:
     def test_gate_variants_agree_in_the_limit(self):
         g = GateN4(a=1.0, U=1.0)
         d = 1e-3
-        mag = compound_smatrix(build_recipe(DeltaChainRecipe(g, d, MAGNETIC)), 4.0)
-        v5 = compound_smatrix(build_recipe(DeltaChainRecipe(g, d, V5_DELTA)), 4.0)
+        mag = compound_smatrix(build_recipe(g, d, MAGNETIC), 4.0)
+        v5 = compound_smatrix(build_recipe(g, d, V5_DELTA), 4.0)
         exact = smatrix(g.boundary_condition(), g.channels(2.0))
         eps = np.abs(mag.S - exact.S).max()
         assert np.abs(mag.S - v5.S).max() < 2 * eps
 
     def test_zero_potential_limit_is_momentum_independent(self):
         f = FilterN3(a=1.0, b=3.0, U=0.0)
-        graph = build_recipe(DeltaChainRecipe(f, d=1e-4))
+        graph = build_recipe(f, d=1e-4)
         exact = smatrix(f.boundary_condition(), f.channels(1.0))
         for k in (0.5, 3.0):
             sm = compound_smatrix(graph, k**2)
@@ -364,12 +359,12 @@ class TestConvergence:
             convergence_study(f, (0.5, 2.0), ())
         with pytest.raises(InvalidParameterError):
             convergence_study(f, (), (0.1, 0.05))
-        with pytest.raises(InvalidParameterError, match="separations must be positive"):
+        with pytest.raises(InvalidParameterError, match="separation d must be positive"):
             convergence_study(f, (0.5, 2.0), (0.1, -0.05))
 
     def test_open_block_distance_skips_closed_lines(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)
-        graph = build_recipe(DeltaChainRecipe(f, d=1e-3))
+        graph = build_recipe(f, d=1e-3)
         approx = compound_smatrix(graph, 0.25)
         exact = smatrix(f.boundary_condition(), f.channels(0.5))
         dist = _open_block_distance(approx, exact)
@@ -455,16 +450,14 @@ class TestGraphValidation:
 
 class TestGraphJson:
     def test_round_trip(self):
-        g = build_recipe(
-            DeltaChainRecipe(GateN4(a=FLAT_A, U=1.0), d=0.1, variant=V5_DELTA)
-        )
+        g = build_recipe(GateN4(a=FLAT_A, U=1.0), d=0.1, variant=V5_DELTA)
         again = graph_from_json(graph_to_json(g))
         assert again == g
 
     def test_schema_keys(self):
         import json
 
-        g = build_recipe(DeltaChainRecipe(FilterN3(1.0, 3.0, 1.0), d=0.1))
+        g = build_recipe(FilterN3(1.0, 3.0, 1.0), d=0.1)
         data = json.loads(graph_to_json(g))
         assert set(data) == {"vertices", "lines", "edges"}
         assert set(data["edges"][0]) == {"from", "to", "d", "phi"}
@@ -484,7 +477,7 @@ class TestGraphJson:
         ("edges", "phi", False),
     ])
     def test_values_must_be_json_numbers(self, group, key, value):
-        data = graph_to_dict(build_recipe(DeltaChainRecipe(FilterN3(1.0, 3.0, 1.0), d=0.1)))
+        data = graph_to_dict(build_recipe(FilterN3(1.0, 3.0, 1.0), d=0.1))
         data[group][0][key] = value
         with pytest.raises(InvalidParameterError, match="expected a number"):
             graph_from_dict(data)

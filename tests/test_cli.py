@@ -15,7 +15,6 @@ from qstar import (
     FilterN3,
     bc_to_json,
     build_recipe,
-    DeltaChainRecipe,
     graph_to_json,
     make_delta,
     make_st_form,
@@ -387,6 +386,16 @@ class TestReports:
         assert out == ""
         assert "at least one momentum and one separation" in err
 
+    @pytest.mark.parametrize("d0", ["inf", "nan", "0", "-0.1"])
+    def test_converge_separation_must_be_positive_and_finite(self, d0, capsys):
+        code, out, err = run_cli(
+            ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
+             "--d0", d0, "--halvings", "1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert f"separation d must be positive and finite, got {float(d0)!r}" in err
+
 
 class TestSmatrix:
     def test_device_mode(self, capsys):
@@ -509,7 +518,7 @@ class TestSmatrix:
 class TestGraph:
     @pytest.fixture
     def chain_config(self, tmp_path):
-        graph = build_recipe(DeltaChainRecipe(FilterN3(1.0, 3.0, 1.0), d=0.01))
+        graph = build_recipe(FilterN3(1.0, 3.0, 1.0), d=0.01)
         path = tmp_path / "chain.json"
         path.write_text(graph_to_json(graph))
         return path
@@ -607,7 +616,7 @@ class TestReentrantMain:
     ]
 
     def test_matches_fresh_interpreters(self, tmp_path, monkeypatch, capsys):
-        graph = build_recipe(DeltaChainRecipe(FilterN3(1.0, 3.0, 1.0), d=0.01))
+        graph = build_recipe(FilterN3(1.0, 3.0, 1.0), d=0.01)
         (tmp_path / "chain.json").write_text(graph_to_json(graph))
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("COLUMNS", "80")

@@ -369,7 +369,7 @@ class TestMomentumDistribution:
 
     def test_only_a_constant_density_exposes_rho(self):
         assert MomentumDistribution.tabulated([0.0, 1.0], [1.0, 1.0]).rho is None
-        assert MomentumDistribution(lambda k: 1.0, "plain").rho is None
+        assert MomentumDistribution(lambda k: 1.0).rho is None
 
     def test_tabulated_interpolates(self):
         dist = MomentumDistribution.tabulated([0.0, 1.0], [0.0, 2.0])

@@ -7,7 +7,6 @@ from qstar import (
     NoConvergenceError,
     NoSignChangeError,
     SingularMatrixError,
-    Tolerance,
     bandwidth,
     find_root,
     integrate,
@@ -119,7 +118,6 @@ class TestIntegrate:
             lambda k: n3_transmission(f, float(k)),
             0.9,
             1.1,
-            tol=Tolerance(1e-9, 1e-9),
             breakpoints=[1.0],
         )
         assert val == pytest.approx(oracle, abs=1e-6)
@@ -128,9 +126,8 @@ class TestIntegrate:
         def f(x):
             return np.exp(-x) * np.sin(3 * x)
 
-        tol = Tolerance(1e-11, 1e-11)
-        whole = integrate(f, 0.0, 2.0, tol=tol)
-        parts = integrate(f, 0.0, 0.7, tol=tol) + integrate(f, 0.7, 2.0, tol=tol)
+        whole = integrate(f, 0.0, 2.0)
+        parts = integrate(f, 0.0, 0.7) + integrate(f, 0.7, 2.0)
         assert whole == pytest.approx(parts, abs=5e-11)
 
     def test_breakpoint_handles_kink(self):
@@ -147,7 +144,7 @@ class TestIntegrate:
 
         monkeypatch.setattr(numerics, "QUAD_MAX_DEPTH", 3)
         with pytest.raises(NoConvergenceError):
-            integrate(nasty, 0.0, 1.0, tol=Tolerance(1e-14, 0.0))
+            integrate(nasty, 0.0, 1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_integrand_raises_at_once(self, bad):
@@ -165,11 +162,23 @@ class TestIntegrate:
             integrate(f, 0.0, 1.0, breakpoints=[0.5])
         assert len(calls) <= 60
 
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(0.0, 0.0)
-        with pytest.raises(ValueError):
-            Tolerance(-1e-3, 1e-3)
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan),
+    ])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        # At infinite bounds every panel is nan and would bisect down to
+        # QUAD_MAX_DEPTH; stop the test after 1,000 calls.
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("integrate kept calling f on a non-finite interval")
+            return 1.0
+
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            integrate(f, lo, hi)
+        assert not calls
 
 
 class TestFindRoot:
@@ -194,15 +203,43 @@ class TestFindRoot:
             find_root(lambda x: x * x - 2.0, 1.0, 2.0)
 
     def test_result_bracketed_and_bracket_shrinks(self):
-        trace = []
-        root = find_root(
-            lambda x: np.cos(x) - x, 0.0, 2.0, trace=trace
-        )
+        xs = []
+
+        def f(x):
+            xs.append(x)
+            return np.cos(x) - x
+
+        root = find_root(f, 0.0, 2.0)
         assert 0.0 <= root <= 2.0
+        # Replay the bracket from the signs at the evaluated points.
+        assert xs[:2] == [0.0, 2.0]
+        lo, hi = xs[:2]
+        trace = [(lo, hi)]
+        for x in xs[2:]:
+            assert lo < x < hi
+            if np.cos(x) - x > 0:  # the sign of f(lo)
+                lo = x
+            else:
+                hi = x
+            trace.append((lo, hi))
         widths = [hi - lo for lo, hi in trace]
         assert all(w2 <= w1 for w1, w2 in zip(widths, widths[1:]))
         for lo, hi in trace:
             assert lo <= root <= hi or hi - lo > 1e-12
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan),
+    ])
+    def test_non_finite_bounds_rejected(self, lo, hi):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.5
+
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            find_root(f, lo, hi)
+        assert not calls
 
     def test_half_max_edges_give_band_width(self):
         # Edges of the transmission band of the (a=1, b=3) filter, located
@@ -221,13 +258,12 @@ class TestFindRoot:
         # The same root find, bracketed on each side of sqrt(U), is an
         # oracle for the closed-form edges of bandwidth().
         rng = rng_for("half-max-edges")
-        tol = Tolerance(abs_tol=1e-13, rel_tol=4e-16)
         for a, b, U in zip(rng.uniform(0.6, 1.8, 5), rng.uniform(2.0, 20.0, 5),
                            rng.uniform(0.5, 4.0, 5)):
             f = FilterN3(a=a, b=b, U=U)
             k_th = f.threshold
             rep = bandwidth(f)
-            assert find_root(excess, k_th * 1e-3, k_th, tol=tol) == pytest.approx(
+            assert find_root(excess, k_th * 1e-3, k_th) == pytest.approx(
                 rep.k_lo, rel=1e-12)
-            assert find_root(excess, k_th, 2.0 * k_th, tol=tol) == pytest.approx(
+            assert find_root(excess, k_th, 2.0 * k_th) == pytest.approx(
                 rep.k_hi, rel=1e-12)

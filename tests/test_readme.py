@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from qstar import (
-    DeltaChainRecipe,
     FilterN3,
     bc_to_json,
     build_recipe,
@@ -40,7 +39,7 @@ def test_readme_has_examples():
 def test_cli_example_exits_0(argv, tmp_path, monkeypatch, capsys):
     f = FilterN3(a=1.0, b=3.0, U=1.0)
     (tmp_path / "vertex.json").write_text(bc_to_json(f.boundary_condition()))
-    chain = build_recipe(DeltaChainRecipe(f, d=0.01))
+    chain = build_recipe(f, d=0.01)
     (tmp_path / "chain.json").write_text(graph_to_json(chain))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0, capsys.readouterr().err

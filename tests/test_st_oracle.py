@@ -20,7 +20,6 @@ import pytest
 
 from qstar import (
     ChannelSet,
-    DeltaChainRecipe,
     build_recipe,
     compound_smatrix,
     make_st_form,
@@ -135,7 +134,7 @@ def _chain_distances(T, ch, variant, ds):
     """Largest |S_chain - S_oracle| of the recipe chain of T at each d."""
     target = _Target(tuple(map(tuple, T.tolist())), ch.potentials)
     want = st_oracle(T, ch.potentials, ch.energy)
-    chains = [compound_smatrix(build_recipe(DeltaChainRecipe(target, d, variant)), ch.energy).S
+    chains = [compound_smatrix(build_recipe(target, d, variant), ch.energy).S
               for d in ds]
     return [float(np.abs(S - want).max()) for S in chains], chains
 
