@@ -53,6 +53,7 @@ from .exceptions import (
 )
 from .numerics import solve_linear
 from .scattering import ChannelSet, ScatteringMatrix, smatrix
+from .vertex import json_text
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,12 @@ class CompoundGraph:
             raise InvalidParameterError("duplicate vertex ids")
         if not ids:
             raise InvalidParameterError("graph needs at least one vertex")
+        numbers = [(f"vertex {v.id!r}: strength", v.strength) for v in self.vertices]
+        numbers += [(f"line {j + 1}: potential U", l.U) for j, l in enumerate(self.lines)]
+        numbers += [(f"edge {e.src!r}-{e.dst!r}: phase phi", e.phase) for e in self.edges]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         known = set(ids)
         for line in self.lines:
             if line.vertex not in known:
@@ -101,8 +108,9 @@ class CompoundGraph:
         for e in self.edges:
             if e.src not in known or e.dst not in known:
                 raise InvalidParameterError(f"edge {e.src!r}-{e.dst!r} references unknown vertex")
-            if not e.length > 0:
-                raise InvalidParameterError(f"edge length must be positive, got {e.length!r}")
+            if not 0 < e.length < math.inf:
+                raise InvalidParameterError(f"edge {e.src!r}-{e.dst!r}: length d must be "
+                                            f"positive and finite, got {e.length!r}")
             adjacency[e.src].add(e.dst)
             adjacency[e.dst].add(e.src)
         seen = {ids[0]}
@@ -197,9 +205,10 @@ def build_recipe(target: FilterN3 | GateN4, d: float, variant: str = MAGNETIC) -
     cols = [0.0] * (n - m)
     mids = []
     edges = []
+    d = float(d)  # Python floats overflow to inf without a numpy warning
     for mu, t_row in enumerate(T):
         for nu, t in enumerate(t_row):
-            w = abs(t)
+            w = abs(float(t))
             src, dst = f"v{mu + 1}", f"v{m + nu + 1}"
             rows[mu] += w * (w - 1)
             cols[nu] += w
@@ -215,6 +224,12 @@ def build_recipe(target: FilterN3 | GateN4, d: float, variant: str = MAGNETIC) -
                 rows[mu] -= 2 * w
                 cols[nu] += 2 * w
     strengths = [r / d for r in rows] + [(1 - c) / d for c in cols]
+    finite = all(map(math.isfinite, strengths + [v.strength for v in mids]))
+    if not (finite and all(0 < e.length < math.inf for e in edges)):
+        raise InvalidParameterError(
+            f"separation d = {d!r} is out of range for this chain: "
+            "its vertex strengths or edge lengths overflow or underflow"
+        )
     return CompoundGraph(
         vertices=[GraphVertex(f"v{i + 1}", s) for i, s in enumerate(strengths)] + mids,
         lines=[ExternalLine(f"v{j + 1}", u) for j, u in enumerate(potentials)],
@@ -316,7 +331,7 @@ def graph_from_dict(data: dict) -> CompoundGraph:
 
 
 def graph_to_json(graph: CompoundGraph) -> str:
-    return json.dumps(graph_to_dict(graph), indent=2, sort_keys=True)
+    return json_text(graph_to_dict(graph))
 
 
 def graph_from_json(text: str) -> CompoundGraph:

@@ -8,7 +8,8 @@ Subcommands:
 - ``graph``    run a compound-graph config file (JSON or CSV sweep)
 
 Output is deterministic: identical invocations produce byte-identical
-files. CSV rows use CRLF line endings and 17-significant-digit floats.
+files. CSV rows use CRLF line endings and 17-significant-digit floats;
+JSON text comes from :func:`vertex.json_text`.
 Exit codes: 0 ok, 2 usage/config error, 3 numerical failure (a qstar
 error or a float overflow).
 """
@@ -119,35 +120,19 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return None if np.isnan(x) else x
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(path: str | None, payload: dict) -> None:
-    _write_text(path, json.dumps(_json_ready(payload), indent=2, sort_keys=True) + "\n")
+    _write_text(path, vertex.json_text(payload) + "\n")
 
 
 def _smatrix_payload(sm: scattering.ScatteringMatrix, potentials) -> dict:
-    p = scattering.probabilities(sm)
     return {
         "k": sm.k,
         "energy": sm.k**2,
         "n": sm.n,
-        "potentials": list(potentials),
-        "open": [bool(x) for x in sm.open_mask],
-        "S": [[[z.real, z.imag] for z in row] for row in sm.S],
-        "probabilities": [[x for x in row] for row in p],
+        "potentials": potentials,
+        "open": sm.open_mask,
+        "S": np.stack([sm.S.real, sm.S.imag], -1),
+        "probabilities": scattering.probabilities(sm),  # nan (closed column) as null
         "unitarity_defect": sm.unitarity_defect(),
     }
 

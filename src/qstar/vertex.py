@@ -15,7 +15,9 @@ strength term in the Kirchhoff row).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -142,8 +144,53 @@ def validate(bc: BoundaryCondition) -> VertexDiagnostics:
     )
 
 
-def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+def _scalar_text(x) -> str:
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or x != x:
+        return "null"
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return int.__repr__(int(x))
+    x = float(x)
+    return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(x) or float.__repr__(x)
+
+
+def json_text(obj, _level: int = 0) -> str:
+    """The one JSON text writer: ``json.dumps(obj, indent=2, sort_keys=True)``
+    byte for byte, with numpy scalars written as Python ones, nan as null,
+    and a numpy array as its nested lists, formatted in bulk. Dict keys
+    must be strings."""
+    if isinstance(obj, np.ndarray):
+        fast = obj.dtype == np.float64 and np.isfinite(obj).all()
+        items = list(map(float.__repr__ if fast else _scalar_text, obj.ravel().tolist()))
+        for axis in range(obj.ndim - 1, -1, -1):  # innermost lists first
+            size, pad = obj.shape[axis], "\n" + "  " * (_level + axis + 1)
+            if size == 0:
+                items = ["[]"] * math.prod(obj.shape[:axis])
+            else:
+                items = ["[" + pad + ("," + pad).join(items[i:i + size]) + pad[:-2] + "]"
+                         for i in range(0, len(items), size)]
+        return items[0]
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [encode_basestring_ascii(k) + ": " + json_text(obj[k], _level + 1)
+                 for k in sorted(obj)]
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = [json_text(v, _level + 1) for v in obj]
+    else:
+        return _scalar_text(obj)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (_level + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _pairs(mat: np.ndarray) -> np.ndarray:
+    """A complex n x n matrix as its n x n x 2 [re, im] float view."""
+    return np.ascontiguousarray(mat).view(np.float64).reshape(*mat.shape, 2)
 
 
 def _matrix_from_json(data, n: int) -> np.ndarray:
@@ -157,7 +204,7 @@ def _matrix_from_json(data, n: int) -> np.ndarray:
 
 def bc_to_dict(bc: BoundaryCondition) -> dict:
     """JSON-ready form: entries as [re, im] pairs."""
-    return {"n": bc.n, "A": _matrix_to_json(bc.A), "B": _matrix_to_json(bc.B)}
+    return {"n": bc.n, "A": _pairs(bc.A).tolist(), "B": _pairs(bc.B).tolist()}
 
 
 class _MalformedShapeError(InvalidParameterError, DimensionMismatchError):
@@ -182,7 +229,7 @@ def bc_from_dict(data: dict) -> BoundaryCondition:
 
 
 def bc_to_json(bc: BoundaryCondition) -> str:
-    return json.dumps(bc_to_dict(bc), indent=2, sort_keys=True)
+    return json_text({"n": bc.n, "A": _pairs(bc.A), "B": _pairs(bc.B)})
 
 
 def bc_from_json(text: str) -> BoundaryCondition:

@@ -81,6 +81,17 @@ class TestRecipeStrengths:
         with pytest.raises(InvalidParameterError, match="unknown variant"):
             build_recipe(GateN4(1.0, 1.0), d=0.1, variant="bogus")
 
+    @pytest.mark.parametrize("d", [1e-320, 5e-324, 1e-309], ids=str)
+    @pytest.mark.parametrize("variant", [MAGNETIC, V5_DELTA])
+    def test_separation_whose_strengths_overflow(self, d, variant):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"separation d = {d!r} is out")):
+            build_recipe(GateN4(a=FLAT_A, U=1.0), d=d, variant=variant)
+
+    def test_separation_whose_lengths_overflow(self):
+        # Lengths d/|t| with |t| = a = 0.5 overflow although d is finite.
+        with pytest.raises(InvalidParameterError, match=re.escape("separation d = 1e+308 is out")):
+            build_recipe(GateN4(a=0.5, U=1.0), d=1e308)
+
 
 def _hand_built_graph(device, d, variant):
     """Oracle: the per-device strength tables and layouts that the generic
@@ -416,6 +427,23 @@ class TestGraphValidation:
                 vertices=(GraphVertex("a", 0.0), GraphVertex("b", 0.0)),
                 lines=(ExternalLine("a", 0.0),),
                 edges=(InternalEdge("a", "b", 0.0),),
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, message", [
+        ("strength", "vertex 'a': strength"),
+        ("U", "line 2: potential U"),
+        ("length", "edge 'a'-'b': length d"),
+        ("phase", "edge 'a'-'b': phase phi"),
+    ])
+    def test_non_finite_number_named(self, field, message, value):
+        parts = {"strength": 0.5, "U": 0.0, "length": 1.0, "phase": 0.0, field: value}
+        with pytest.raises(InvalidParameterError,
+                           match=re.escape(f"{message} must be") + f".*, got {value!r}$"):
+            CompoundGraph(
+                vertices=(GraphVertex("a", parts["strength"]), GraphVertex("b", 0.0)),
+                lines=(ExternalLine("a", 0.0), ExternalLine("b", parts["U"])),
+                edges=(InternalEdge("a", "b", parts["length"], parts["phase"]),),
             )
 
     def test_unknown_vertex_reference(self):

@@ -396,6 +396,18 @@ class TestReports:
         assert (code, out) == (2, "")
         assert f"separation d must be positive and finite, got {float(d0)!r}" in err
 
+    def test_converge_subnormal_separation_is_a_config_error(self, capsys):
+        # Strengths of order 1/d overflow; the recipe names d and no numpy
+        # warning reaches stderr (warnings are errors under pytest).
+        code, out, err = run_cli(
+            ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
+             "--d0", "1e-320", "--halvings", "1"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == ("qstar: config error: separation d = 1e-320 is out of range for this "
+                       "chain: its vertex strengths or edge lengths overflow or underflow\n")
+
 
 class TestSmatrix:
     def test_device_mode(self, capsys):
@@ -578,6 +590,24 @@ class TestGraph:
         assert (code, out) == (2, "")
         assert err.startswith("qstar: config error: malformed graph config: expected a number")
 
+    @pytest.mark.parametrize("mode", [["--E", "4.0"], ["--k", "0.5:2:4"]], ids=["E", "k"])
+    @pytest.mark.parametrize("group, key, value, message", [
+        ("vertices", "strength", "NaN", "vertex 'v1': strength must be finite, got nan"),
+        ("vertices", "strength", "Infinity", "vertex 'v1': strength must be finite, got inf"),
+        ("lines", "U", "-Infinity", "line 1: potential U must be finite, got -inf"),
+        ("edges", "d", "Infinity",
+         "edge 'v1'-'v2': length d must be positive and finite, got inf"),
+        ("edges", "phi", "NaN", "edge 'v1'-'v2': phase phi must be finite, got nan"),
+    ], ids=["strength-nan", "strength-inf", "U", "d", "phi"])
+    def test_non_finite_config_value_is_a_config_error(
+            self, chain_config, capsys, mode, group, key, value, message):
+        data = json.loads(chain_config.read_text())
+        data[group][0][key] = "VALUE"
+        chain_config.write_text(json.dumps(data).replace('"VALUE"', value))
+        code, out, err = run_cli(["graph", str(chain_config), *mode], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"qstar: config error: {message}\n"
+
     def test_resonant_energy_exits_3(self, tmp_path, capsys):
         path = tmp_path / "ring.json"
         path.write_text(
@@ -598,6 +628,31 @@ class TestGraph:
         code, _, err = run_cli(["graph", str(path), "--E", repr(np.pi**2)], capsys)
         assert code == 3
         assert "singular" in err.lower()
+
+
+class TestFrozenJsonBytes:
+    """Exact stdout of two JSON runs with a closed channel (null
+    probabilities), frozen from the output of ``json.dumps(..., indent=2,
+    sort_keys=True)`` before ``vertex.json_text`` replaced it."""
+
+    BC = """{"n": 3,
+     "A": [[[0, 0], [0, 0], [0, 0]], [[-1, 0], [1, 0], [0, 0]], [[-0.5, 0.25], [0, 0], [1, 0]]],
+     "B": [[[1, 0], [1, 0], [0.5, 0.25]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]]]}"""
+    RING = """{"vertices": [{"id": "a", "strength": 0.3}, {"id": "b", "strength": -0.7}],
+     "lines": [{"vertex": "a"}, {"vertex": "b", "U": 0.5}, {"vertex": "b", "U": 3.0}],
+     "edges": [{"from": "a", "to": "b", "d": 0.4, "phi": 0.2}, {"from": "a", "to": "b", "d": 0.9}]}"""
+
+    @pytest.mark.parametrize("name, text, argv, golden", [
+        ("bc.json", BC, ["smatrix", "--bc", "bc.json", "--potentials", "0,0.5,2", "--k", "1.1"],
+         "smatrix_bc_closed_channel.json"),
+        ("ring.json", RING, ["graph", "ring.json", "--E", "2.0"], "graph_E_closed_channel.json"),
+    ], ids=["smatrix-bc", "graph-E"])
+    def test_stdout_is_frozen(self, tmp_path, monkeypatch, capsys, name, text, argv, golden):
+        (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == (Path(__file__).resolve().parent / "golden" / golden).read_text()
 
 
 class TestReentrantMain:
