@@ -14,10 +14,18 @@ and its outward derivatives are
 Row v of the system is Kirchhoff's rule at v: the outward derivatives sum
 to the strength times psi_v. A lead j at v, with momentum k_j, adds i k_j to
 the diagonal of row v and 2i sqrt(k_j) to incoming column j of the right-hand
-side, and S_{j,in} = sqrt(k_j) psi_{v(j)} - delta_{j,in}. An edge with
-kl > pi/2 and |sin kl| < 1/2, near a zero of sin(kl), is first split into
-ceil(kl/(pi/2)) equal pieces by free vertices (strength 0), so the
-system stays regular there; the rule is fixed. What still raises
+side, and S_{j,in} = sqrt(k_j) psi_{v(j)} - delta_{j,in}.
+
+An edge with kl > pi/2 and |sin kl| < 1/2, near a zero of sin(kl), is
+first split in two by one free vertex (strength 0), so the system stays
+regular there and has at most V + E unknowns for V vertices and E edges,
+however long the edges. With h = kl/2, an edge near an odd multiple of pi
+(|sin h| >= |cos h|) is split at its midpoint, and both pieces have
+(sin, cos) = (sin h, cos h); one near an even multiple is split a quarter
+wave off the midpoint, into pieces with (-cos h, sin h) and
+(cos h, -sin h). A free piece depends on its phase only mod 2 pi, so the
+split is exact, and each piece keeps |sin| >= cos(pi/12). The first piece
+carries the edge's phase phi. The rule is fixed. What still raises
 SingularSystemError is a true resonance: a state of the finite graph that
 vanishes at every lead vertex, such as two equal edges between two vertices
 at kl = m pi.
@@ -128,7 +136,9 @@ class CompoundGraph:
         return len(self.lines)
 
 
-#: Edges with kl above this and |sin kl| < 1/2 are split (module docstring).
+#: Edges with kl above this and |sin kl| < 1/2 get one free vertex, at the
+#: midpoint or a quarter wave off it, so a system has at most V + E unknowns
+#: (module docstring).
 _HALF_PI = 0.5 * math.pi
 
 
@@ -138,8 +148,9 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     Internal edges are potential-free (momentum k = sqrt(E)); lead j carries
     momentum k_j = sqrt(E - U_j) on the principal branch. The vertex
     admittance system of the module docstring, with one unknown per vertex
-    and per free vertex that splits an edge, is solved for all incoming
-    lines at once. Raises SingularSystemError, with the solver's pivot,
+    and per free vertex that splits an edge near sin(kl) = 0 (at most one
+    per edge, so at most V + E unknowns), is solved for all incoming lines
+    at once. Raises SingularSystemError, with the solver's pivot,
     floor and column, at a discrete resonance of the finite structure.
     """
     n = graph.n_lines
@@ -153,26 +164,37 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
 
     index = {v.id: i for i, v in enumerate(graph.vertices)}
     size = len(graph.vertices)
-    ends, lengths, phases = [], [], []
-    for edge in graph.edges:
-        kl = k * edge.length
-        pieces = math.ceil(kl / _HALF_PI) if kl > _HALF_PI and abs(math.sin(kl)) < 0.5 else 1
-        path = [index[edge.src], *range(size, size + pieces - 1), index[edge.dst]]
-        size += pieces - 1
+    lengths = [edge.length for edge in graph.edges]
+    if lengths and math.isinf(k * max(lengths)):
+        edge = graph.edges[lengths.index(max(lengths))]
+        raise InvalidParameterError(f"edge {edge.src!r}-{edge.dst!r}: phase k*d "
+                                    f"overflows at energy {energy!r}")
+    ends, phases, pieces = [], [], []
+    kls = k * np.array(lengths)
+    for edge, kl, s, c in zip(graph.edges, kls.tolist(), np.sin(kls).tolist(),
+                              np.cos(kls).tolist()):
+        path = [index[edge.src], index[edge.dst]]
+        trig = [(s, c)]
+        if kl > _HALF_PI and abs(s) < 0.5:
+            h = 0.5 * kl
+            s, c = math.sin(h), math.cos(h)
+            trig = [(s, c), (s, c)] if abs(s) >= abs(c) else [(-c, s), (c, -s)]
+            path.insert(1, size)
+            size += 1
         ends += zip(path, path[1:])
-        lengths += [edge.length / pieces] * pieces
-        phases += [edge.phase] + [0.0] * (pieces - 1)
+        phases += [edge.phase] + [0.0] * (len(trig) - 1)
+        pieces += trig
 
     lhs = np.zeros((size, size), dtype=np.complex128)
     if ends:
         src, dst = np.array(ends).T
-        kl = k * np.array(lengths)
-        y = k / np.sin(kl)
+        sin_kl, cos_kl = np.array(pieces).T
+        y = k / sin_kl
         across = y * np.exp(-1j * np.array(phases))
         np.add.at(lhs, (src, dst), across)
         np.add.at(lhs, (dst, src), across.conj())
-        np.add.at(lhs, (src, src), -y * np.cos(kl))
-        np.add.at(lhs, (dst, dst), -y * np.cos(kl))
+        np.add.at(lhs, (src, src), -y * cos_kl)
+        np.add.at(lhs, (dst, dst), -y * cos_kl)
     lhs[np.diag_indices(len(graph.vertices))] -= [v.strength for v in graph.vertices]
     at = np.array([index[line.vertex] for line in graph.lines])
     np.add.at(lhs, (at, at), 1j * k_lines)
@@ -304,7 +326,8 @@ def graph_to_dict(graph: CompoundGraph) -> dict:
 
 
 def _number(value) -> float:
-    """A JSON number as a float; a string, a boolean or null is refused."""
+    """A JSON number as a float; a string, a boolean, null or an integer
+    beyond the float range is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
@@ -325,7 +348,7 @@ def graph_from_dict(data: dict) -> CompoundGraph:
             )
             for e in data.get("edges", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidParameterError(f"malformed graph config: {exc}") from exc
     return CompoundGraph(vertices=vertices, lines=lines, edges=edges)
 

@@ -222,7 +222,7 @@ def bc_from_dict(data: dict) -> BoundaryCondition:
         return BoundaryCondition(
             n, _matrix_from_json(data["A"], n), _matrix_from_json(data["B"], n)
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         shape = isinstance(exc, DimensionMismatchError)
         error = _MalformedShapeError if shape else InvalidParameterError
         raise error(f"malformed boundary-condition config: {exc}") from exc

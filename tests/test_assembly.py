@@ -1,4 +1,7 @@
+import json
 import re
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +28,16 @@ from qstar import (
     smatrix,
 )
 from qstar.assembly import MAGNETIC, V5_DELTA, _open_block_distance
+from qstar.numerics import solve_linear
 
 from conftest import rng_for
 
 FLAT_A = 1 / np.sqrt(2)
+
+#: 40-digit S-matrices from ``golden/make_long_edge_reference.py``.
+LONG_EDGE = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "long_edge_reference.json").read_text()
+)
 
 
 def _resonant_ring():
@@ -295,7 +304,7 @@ class TestCompoundSmatrix:
             "nudge the momentum instead"
         )
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 1001])
     def test_edge_at_a_multiple_of_pi_is_not_a_resonance(self, m):
         # One edge of length 1 between two delta vertices, at k l = m pi,
         # against the same graph with that edge cut by a free vertex at
@@ -320,6 +329,56 @@ class TestCompoundSmatrix:
             (InternalEdge("a", "b", 1.0),),
         )
         assert abs(compound_smatrix(free, energy).S[1, 0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_order_is_at_most_vertices_plus_edges(self, monkeypatch):
+        # Every edge of this tree sits near sin(k l) = 0 at k = 16 pi/50,
+        # the d = 50 edge at k l = 16 pi; each gets at most one free vertex.
+        orders = []
+
+        def recorded(lhs, rhs):
+            orders.append(len(lhs))
+            return solve_linear(lhs, rhs)
+
+        monkeypatch.setattr("qstar.assembly.solve_linear", recorded)
+        k = 16 * np.pi / 50
+        near = [(16, 0.0), (1, 0.1), (3, -0.2), (6, 0.05), (2, -0.4)]
+        vertices = tuple(GraphVertex(f"v{i}", 0.3 * i - 0.5) for i in range(len(near) + 1))
+        edges = tuple(
+            InternalEdge("v0" if i % 2 else f"v{i}", f"v{i + 1}", (m * np.pi + x) / k, 0.2 * i)
+            for i, (m, x) in enumerate(near)
+        )
+        assert edges[0].length == pytest.approx(50.0)
+        lines = (ExternalLine("v0", 0.0), ExternalLine("v5", 0.3), ExternalLine("v2", 0.0))
+        sm = compound_smatrix(CompoundGraph(vertices, lines, edges), k * k)
+        assert sm.unitarity_defect() < 1e-13
+        assert orders == [len(vertices) + len(edges)]
+
+    @pytest.mark.parametrize("case", LONG_EDGE["cases"],
+                             ids=lambda case: f"d{case['d']:g}-{case['parity']}")
+    def test_long_edge_matches_reference(self, case):
+        # |sin(k l)| <= 1e-3 on one edge of length 1e3, 1e7 or 1e300.
+        edge = {**LONG_EDGE["graph"]["edges"][0], "d": case["d"]}
+        graph = graph_from_dict({**LONG_EDGE["graph"], "edges": [edge]})
+        t0 = time.perf_counter()
+        sm = compound_smatrix(graph, case["E"])
+        elapsed = time.perf_counter() - t0
+        reference = np.array([[float(re) + 1j * float(im) for re, im in row]
+                              for row in case["S"]])
+        assert elapsed < 0.05
+        assert sm.unitarity_defect() < 1e-14
+        assert np.abs(sm.S - reference).max() < 1e-14
+
+    def test_edge_phase_overflow_is_named(self):
+        # k*d overflows while d is finite; no numpy warning gets out.
+        graph = CompoundGraph(
+            (GraphVertex("a", 0.7), GraphVertex("b", -1.9)),
+            (ExternalLine("a", 0.0), ExternalLine("b", 0.0)),
+            (InternalEdge("a", "b", 1.0), InternalEdge("b", "a", 1e308)),
+        )
+        message = "edge 'b'-'a': phase k*d overflows at energy 4.0"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            compound_smatrix(graph, 4.0)
+        assert compound_smatrix(graph, 0.25).unitarity_defect() < 1e-14
 
     def test_engine_guard_matches_star_smatrix(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)

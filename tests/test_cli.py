@@ -376,6 +376,16 @@ class TestReports:
         assert (n3["a"], n3["b"], n3["U"]) == (0.9, 2.0, 1.0) and "V" not in n3
         assert (n4["a"], n4["U"], n4["V"]) == (0.9, 0.5, 0.0) and "b" not in n4
 
+    def test_converge_at_a_huge_separation(self, capsys):
+        # Edges of length 1e300 near sin(kl) = 0 get one free vertex each.
+        code, out, _ = run_cli(
+            ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
+             "--U", "1", "--d0", "1e300", "--halvings", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert [row["d"] for row in json.loads(out)["rows"]] == [1e300, 5e299]
+
     def test_converge_without_separations_exits_2(self, capsys):
         code, out, err = run_cli(
             ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
@@ -433,6 +443,18 @@ class TestSmatrix:
         assert code == 0
         data = json.loads(out)
         assert complex(*data["S"][1][0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_bc_integer_beyond_float_range_is_a_config_error(self, tmp_path, capsys):
+        data = json.loads(bc_to_json(make_st_form(2, 1, [[1.0]])))
+        data["A"][1][0][0] = -(10**400)
+        path = tmp_path / "bc.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(
+            ["smatrix", "--bc", str(path), "--potentials", "0,0", "--k", "1.3"], capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == ("qstar: config error: malformed boundary-condition config: "
+                       "int too large to convert to float\n")
 
     def test_degree_one_bc_file_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bc.json"
@@ -589,6 +611,17 @@ class TestGraph:
         code, out, err = run_cli(["graph", str(chain_config), "--E", "4.0"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("qstar: config error: malformed graph config: expected a number")
+
+    @pytest.mark.parametrize("group, key", [("vertices", "strength"), ("edges", "d")])
+    def test_integer_beyond_float_range_is_a_config_error(
+            self, chain_config, capsys, group, key):
+        data = json.loads(chain_config.read_text())
+        data[group][0][key] = 10**400
+        chain_config.write_text(json.dumps(data))
+        code, out, err = run_cli(["graph", str(chain_config), "--E", "4.0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("qstar: config error: malformed graph config: "
+                       "int too large to convert to float\n")
 
     @pytest.mark.parametrize("mode", [["--E", "4.0"], ["--k", "0.5:2:4"]], ids=["E", "k"])
     @pytest.mark.parametrize("group, key, value, message", [
