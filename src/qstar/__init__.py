@@ -52,7 +52,6 @@ from .devices import (
     n4_transmission,
 )
 from .exceptions import (
-    AtThresholdError,
     ClosedIncomingChannelError,
     DimensionMismatchError,
     InvalidParameterError,

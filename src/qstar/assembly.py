@@ -14,7 +14,8 @@ and its outward derivatives are
 Row v of the system is Kirchhoff's rule at v: the outward derivatives sum
 to the strength times psi_v. A lead j at v, with momentum k_j, adds i k_j to
 the diagonal of row v and 2i sqrt(k_j) to incoming column j of the right-hand
-side, and S_{j,in} = sqrt(k_j) psi_{v(j)} - delta_{j,in}.
+side, and S_{j,in} = sqrt(k_j) psi_{v(j)} - delta_{j,in}; a lead on its
+threshold, k_j = 0, decouples with S_jj = -1, as in :mod:`qstar.scattering`.
 
 An edge with kl > pi/2 and |sin kl| < 1/2, near a zero of sin(kl), is
 first split in two by one free vertex (strength 0), so the system stays

@@ -41,14 +41,14 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def momentum_grid(lo: float, hi: float, steps: int, potentials) -> np.ndarray:
-    """Inclusive linear grid; points on the threshold of a line potential
-    move off it (:func:`scattering.nudge_off_threshold`)."""
+def momentum_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    """Inclusive linear grid of momenta with energies k^2 in the float
+    range (:func:`scattering.momentum_energy`)."""
     if not (lo < hi) or steps < 2:
         raise UsageError(f"invalid momentum range {lo}:{hi}:{steps}")
-    if lo <= 0 or not np.isfinite(hi):
-        raise UsageError(f"momenta must be positive and finite, got {lo}:{hi}")
-    return scattering.nudge_off_threshold(np.linspace(lo, hi, steps), potentials)
+    for k in (lo, hi):
+        scattering.momentum_energy(k)
+    return np.linspace(lo, hi, steps)
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -140,7 +140,7 @@ def _smatrix_payload(sm: scattering.ScatteringMatrix, potentials) -> dict:
 def _cmd_sweep(args) -> int:
     device = _device_from_args(args, args.device, "--device")
     lo, hi, steps = _parse_range(args.k)
-    grid = momentum_grid(lo, hi, steps, device.potentials)
+    grid = momentum_grid(lo, hi, steps)
     header, rows = _sweep_rows(device, grid)
     _write_csv(args.output, header, rows)
     return EXIT_OK
@@ -249,15 +249,14 @@ def _cmd_graph(args) -> int:
     j = args.incoming - 1
     if not 0 <= j < graph.n_lines:
         raise UsageError(f"incoming line {args.incoming} out of range")
-    potentials = [l.U for l in graph.lines]
     if args.E is not None:
         sm = assembly.compound_smatrix(graph, args.E)
-        payload = _smatrix_payload(sm, potentials)
+        payload = _smatrix_payload(sm, [l.U for l in graph.lines])
         payload["config"] = args.config
         _write_json(args.output, payload)
         return EXIT_OK
     lo, hi, steps = _parse_range(args.k)
-    grid = momentum_grid(lo, hi, steps, potentials)
+    grid = momentum_grid(lo, hi, steps)
     header = ["k"] + [f"P{i + 1}{args.incoming}" for i in range(graph.n_lines)]
     rows = []
     for k in grid:

@@ -18,11 +18,10 @@ Amplitudes are evaluated with w_X = sqrt(1 - X/k^2) on the principal
 branch, so below a threshold w_X = i sqrt(X/k^2 - 1) and the formulas
 continue analytically; transmission into a closed line (3, or the gate's
 drain line 4 below sqrt(V)) carries an explicit step-function cutoff. The
-formulas are finite on the thresholds themselves, so they take any k
-without the grid nudge of :func:`scattering.nudge_off_threshold`. Each
-device's amplitudes share one divisor, written in its S21 function, and
-each transmission is |S21|^2 of that S21 expression; all of them need k
-above ~1e-150, where U/k^2 overflows.
+formulas are finite on the thresholds themselves. Each device's
+amplitudes share one divisor, written in its S21 function, and each
+transmission is |S21|^2 of that S21 expression; all of them need k above
+~1e-150, where U/k^2 overflows.
 
 The resonance pole behind the threshold peak lies on the second sheet,
 where w = -sqrt(1 - U/k^2). :func:`analysis.locate_pole` finds it from

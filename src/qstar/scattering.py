@@ -3,16 +3,21 @@
 For energy E, line i carries momentum k_i = sqrt(E - U_i) on the principal
 branch: real and nonnegative for open channels, +i sqrt(U_i - E) for
 closed (evanescent) ones, so continued amplitudes decay away from the
-vertex. With K = diag(sqrt(k_i)) the scattering matrix solves
-
-    (A K^-1 + i B K) S = -(A K^-1 - i B K),
-
-which follows from matching the final-state waves
+vertex. With K = diag(k_i), matching the final-state waves
 
     psi_ij(x) = delta_ij exp(-i k_j x)/sqrt(k_j)
                 + S_ij exp(+i k_i x)/sqrt(k_i)
 
-against the vertex condition A Psi(0) + B Psi'(0) = 0.
+against the vertex condition A Psi(0) + B Psi'(0) = 0 gives
+(A + i B K) K^-1/2 (I + S) = 2i B K^1/2, so that
+
+    S = -I + 2i K^1/2 (A + i B K)^-1 B K^1/2
+
+(Kostrykin and Schrader, J. Phys. A 32 (1999) 595). No factor divides by
+a momentum, so S is finite on a threshold E = U_j: there k_j = 0, row and
+column j vanish off the diagonal and S_jj = -1, the limit in which line j
+decouples. For a self-adjoint coupling, A + i B K is singular only where
+the vertex has a bound state or a threshold resonance at E.
 """
 
 from __future__ import annotations
@@ -22,31 +27,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    AtThresholdError,
     ClosedIncomingChannelError,
     DimensionMismatchError,
+    SingularMatrixError,
+    SingularSystemError,
 )
 from .numerics import solve_linear
 from .vertex import BoundaryCondition
 
-#: Relative width of the excluded band around each channel threshold.
-THRESHOLD_TOL = 1e-14
 
-#: Relative step that moves a momentum off a threshold it coincides with.
-THRESHOLD_NUDGE = 1e-8
-
-
-def nudge_off_threshold(momenta, potentials) -> np.ndarray:
-    """Copy of ``momenta`` with points within 1e-12*max(1, t) of a threshold
-    t = sqrt(U) > 0 moved to t*(1 + THRESHOLD_NUDGE), clear of THRESHOLD_TOL."""
-    ks = np.array(momenta, dtype=np.float64)
-    for u in potentials:
-        if u <= 0:
-            continue
-        t = np.sqrt(u)
-        coincident = np.abs(ks - t) <= 1e-12 * max(1.0, t)
-        ks[coincident] = t * (1.0 + THRESHOLD_NUDGE)
-    return ks
+def momentum_energy(k: float) -> float:
+    """Energy k^2 of the momentum k. Raises ValueError unless k is positive
+    and finite (k^2 would hide the sign of a negative k) and k^2 is in the
+    float range."""
+    k = float(k)
+    if not 0 < k < np.inf:
+        raise ValueError(f"momentum must be positive and finite, got {k!r}")
+    try:
+        return k**2
+    except OverflowError:
+        raise ValueError(f"momentum {k!r} is too large: its energy k^2 overflows") from None
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,9 @@ class ChannelSet:
 
     @classmethod
     def at_momentum(cls, potentials, k: float) -> "ChannelSet":
-        """Channels at reference momentum k (energy k^2); k must be positive
-        and finite, as k^2 would hide the sign of a negative one."""
-        k = float(k)
-        if not 0 < k < np.inf:
-            raise ValueError(f"momentum must be positive and finite, got {k!r}")
+        """Channels at reference momentum k (:func:`momentum_energy`)."""
         pots = tuple(float(u) for u in potentials)
-        return cls(len(pots), pots, k**2)
+        return cls(len(pots), pots, momentum_energy(k))
 
     def momenta(self) -> np.ndarray:
         """Complex momenta k_i = sqrt(E - U_i), principal branch."""
@@ -90,13 +86,9 @@ class ChannelSet:
         return self.energy > np.array(self.potentials)
 
     def assert_evaluable(self):
-        """Raise ValueError unless E > 0, and AtThresholdError when E
-        coincides with any U_i, where the momentum matrix K is singular."""
+        """Raise ValueError unless E > 0."""
         if self.energy <= 0:
             raise ValueError(f"energy must be positive, got {self.energy!r}")
-        for i, u in enumerate(self.potentials):
-            if abs(self.energy - u) < THRESHOLD_TOL * max(abs(self.energy), abs(u)):
-                raise AtThresholdError(self.energy, i + 1, u)
 
 
 @dataclass(frozen=True)
@@ -126,15 +118,23 @@ class ScatteringMatrix:
 
 
 def smatrix(bc: BoundaryCondition, ch: ChannelSet) -> ScatteringMatrix:
-    """Evaluate the S-matrix of ``bc`` for the channels ``ch``."""
+    """Evaluate the S-matrix of ``bc`` for the channels ``ch`` by the
+    formula of the module docstring. Raises SingularSystemError, with the
+    energy and the solver's pivot, floor and column, where A + i B K is
+    singular."""
     if bc.n != ch.n:
         raise DimensionMismatchError(
             f"coupling degree {bc.n} != channel count {ch.n}"
         )
     ch.assert_evaluable()
-    sqrt_k = np.sqrt(ch.momenta())[None, :]
-    a_part, b_part = bc.A / sqrt_k, 1j * bc.B * sqrt_k
-    s = solve_linear(a_part + b_part, -(a_part - b_part))
+    k = ch.momenta()
+    sqrt_k = np.sqrt(k)
+    try:
+        s = solve_linear(bc.A + bc.B * (1j * k), bc.B * (2j * sqrt_k))
+    except SingularMatrixError as exc:
+        raise SingularSystemError(ch.energy, exc) from exc
+    s *= sqrt_k[:, None]
+    s.reshape(-1)[:: ch.n + 1] -= 1.0  # s is C-contiguous: a view
     return ScatteringMatrix(S=s, k=float(np.sqrt(ch.energy)), open_mask=ch.open_mask())
 
 
@@ -185,15 +185,22 @@ class FinalStateWave:
 
 
 def final_state(bc: BoundaryCondition, ch: ChannelSet, j: int) -> FinalStateWave:
-    """Final-state wave for incoming line ``j`` (0-based); ``j`` must be open."""
+    """Final-state wave for incoming line ``j`` (0-based); ``j`` must be
+    open, and no line may sit on its threshold, where the wave's
+    normalisation 1/sqrt(k_i) is not defined."""
     if not 0 <= j < ch.n:
         raise DimensionMismatchError(f"line index {j} out of range for n={ch.n}")
     if not ch.open_mask()[j]:
         raise ClosedIncomingChannelError(
             f"line {j + 1} is closed at energy {ch.energy!r}"
         )
+    momenta = ch.momenta()
+    if not momenta.all():
+        line = int(np.flatnonzero(momenta == 0)[0]) + 1
+        raise ValueError(f"line {line} sits on its threshold at energy {ch.energy!r}: "
+                         "its final-state wave is not defined")
     sm = smatrix(bc, ch)
-    return FinalStateWave(j=j, momenta=ch.momenta(), amplitudes=sm.S[:, j].copy())
+    return FinalStateWave(j=j, momenta=momenta, amplitudes=sm.S[:, j].copy())
 
 
 def wavefunction(bc: BoundaryCondition, ch: ChannelSet, j: int, x: float, i: int) -> complex:

@@ -3,16 +3,19 @@
 The chain is ``chain_v5delta_n4.json`` (the v5-delta chain of
 GateN4(0.83, 1, 0.25) at d = 1e-2), swept as ``qstar graph
 chain_v5delta_n4.json --k 0.05:5:199``: 199 momenta from numpy.linspace,
-each within 1e-12 of a threshold sqrt(U) moved to sqrt(U)(1 + 1e-8), and
-the energy E = k*k rounded to a double, as the CLI passes it.
+two of them (k = 0.5 and 1) on the thresholds sqrt(V) and sqrt(U), and the
+energy E = float(k) ** 2 rounded to a double, as the CLI passes it.
 
 At each energy the script solves the full wave-matching system at 50
 digits with mpmath: an (alpha, beta) amplitude pair per edge, one outgoing
 amplitude per lead and one value per vertex, matched by continuity at both
-ends of each edge and at each lead, and by a Kirchhoff row per vertex. It
-shares no formula with qstar's vertex-admittance solve. The probabilities
-|S_i1|^2 (0 on a closed line i) are written with 40 significant digits.
-Inputs are doubles, read exactly.
+ends of each edge and at each lead, and by a Kirchhoff row per vertex. A
+lead's outgoing wave s exp(ikx)/sqrt(k) divides by sqrt(k), so a lead on
+its threshold, k = 0, takes the limit of its continuity row times sqrt(k),
+s = -delta (the incoming lead's unit), and adds nothing to its Kirchhoff
+row. It shares no formula with qstar's vertex-admittance solve. The
+probabilities |S_i1|^2 (0 on a closed line i) are written with 40
+significant digits. Inputs are doubles, read exactly.
 
 Needs mpmath (the ``golden`` extra, not a qstar dependency); the tests only
 read the JSON:
@@ -30,16 +33,6 @@ mp.mp.dps = 50
 DIGITS = 40
 HERE = Path(__file__).resolve().parent
 GRID = (0.05, 5.0, 199)
-NUDGE = 1e-8
-
-
-def momenta(potentials):
-    ks = np.linspace(*GRID)
-    for u in potentials:
-        if u > 0:
-            t = np.sqrt(u)
-            ks[np.abs(ks - t) <= 1e-12 * max(1.0, t)] = t * (1.0 + NUDGE)
-    return [float(k) for k in ks]
 
 
 def wave_matching_smatrix(graph, energy):
@@ -66,9 +59,13 @@ def wave_matching_smatrix(graph, energy):
         A[row, 2 * n_e + n + at[edge["to"]]] = -1
         row += 1
     for j, line in enumerate(lines):
-        A[row, 2 * n_e + j] = 1 / sqrt_k[j]
-        A[row, 2 * n_e + n + at[line["vertex"]]] = -1
-        B[row, j] = -1 / sqrt_k[j]
+        if sqrt_k[j] == 0:  # on its threshold: the limit s_j = -delta
+            A[row, 2 * n_e + j] = 1
+            B[row, j] = -1
+        else:
+            A[row, 2 * n_e + j] = 1 / sqrt_k[j]
+            A[row, 2 * n_e + n + at[line["vertex"]]] = -1
+            B[row, j] = -1 / sqrt_k[j]
         row += 1
     for v, vert in enumerate(graph["vertices"]):
         A[row + v, 2 * n_e + n + v] = -mp.mpf(vert["strength"])
@@ -93,8 +90,8 @@ def main():
     graph = json.loads((HERE / "chain_v5delta_n4.json").read_text())
     potentials = [float(line["U"]) for line in graph["lines"]]
     rows = []
-    for k in momenta(potentials):
-        energy = k * k
+    for k in np.linspace(*GRID).tolist():
+        energy = k ** 2
         S = wave_matching_smatrix(graph, energy)
         probs = [abs(S[i][0]) ** 2 if energy > u else mp.mpf(0)
                  for i, u in enumerate(potentials)]

@@ -3,12 +3,12 @@ PASS/FAIL line with the measured numbers (run with ``pytest -s`` to see
 them).
 
 Criterion 2 note: the peak transmission at the threshold momentum is
-verified exactly through the closed form (tolerance 1e-12) and through the
-below-side nudge k = sqrt(U) - 1e-8 (tolerance 1e-6). The upward nudge
-k = sqrt(U) + 1e-8 sits on the square-root cusp, where the value is
-1 - 2 b^2 sqrt(2e-8)/(1+a^2) ~ 0.9987 by construction; no implementation
-can bring it within 1e-6 of 1, so on that side the engine is instead held
-to the closed form at 1e-10.
+verified exactly, at k = sqrt(U) itself, through the closed form and
+through the engine (tolerance 1e-12), and just below, at
+k = sqrt(U) - 1e-8 (tolerance 1e-6). Just above, k = sqrt(U) + 1e-8 sits
+on the square-root cusp, where the value is 1 - 2 b^2 sqrt(2e-8)/(1+a^2)
+~ 0.9987 by construction; no implementation can bring it within 1e-6 of
+1, so on that side the engine is instead held to the closed form at 1e-10.
 """
 
 import csv
@@ -80,6 +80,7 @@ def test_criterion_01_engine_matches_closed_forms():
 def test_criterion_02_perfect_threshold_transmission():
     f = FilterN3(a=1.0, b=3.0, U=1.0)
     exact = abs(n3_transmission(f, 1.0) - 1.0)
+    engine_exact = abs(abs(smatrix(f.boundary_condition(), f.channels(1.0)).S[1, 0]) ** 2 - 1.0)
     below = abs(n3_transmission(f, 1.0 - 1e-8) - 1.0)
     sm_below = smatrix(f.boundary_condition(), f.channels(1.0 - 1e-8))
     engine_below = abs(abs(sm_below.S[1, 0]) ** 2 - 1.0)
@@ -90,8 +91,10 @@ def test_criterion_02_perfect_threshold_transmission():
     cusp_gap = 1.0 - n3_transmission(f, 1.0 + 1e-8)
     report(
         2,
-        exact < 1e-12 and below < 1e-6 and engine_below < 1e-6 and above_vs_closed < 1e-10,
-        f"P(k=1)=1 exact to {exact:.1e} (<1e-12); P(1-1e-8): closed {below:.1e}, "
+        exact < 1e-12 and engine_exact < 1e-12 and below < 1e-6 and engine_below < 1e-6
+        and above_vs_closed < 1e-10,
+        f"P(k=1)=1 exact to {exact:.1e}, engine {engine_exact:.1e} (<1e-12); "
+        f"P(1-1e-8): closed {below:.1e}, "
         f"engine {engine_below:.1e} (<1e-6); +side on the cusp is 1-{cusp_gap:.2e} "
         f"by construction, engine matches closed form to {above_vs_closed:.1e}",
     )
@@ -240,12 +243,14 @@ GOLDEN_SWEEPS = {
                              "--a", "0.7071067811865476", "--U", "1",
                              "--k", "0.05:5:200"],
     # Band mode through the engine; rows k = 0.5 and k = 1 sit on sqrt(V) and
-    # sqrt(U) and pin the 1e-8 threshold nudge.
+    # sqrt(U), where the line decouples. Held to the 40-digit
+    # golden/n4_reference.json by test_n4_golden.py.
     "sweep_n4_band_U1_V025.csv": ["sweep", "--device", "n4",
                                   "--a", "0.7071067811865476", "--U", "1",
                                   "--V", "0.25", "--k", "0.05:5:199"],
     # A v5-delta chain realising GateN4(0.83, 1, 0.25) at d = 1e-2: a wave-
-    # matching system of order 19.
+    # matching system of order 19, with the same two threshold rows. Held to
+    # golden/chain_reference.json by test_chain_golden.py.
     "graph_chain_v5delta_n4.csv": ["graph", str(GOLDEN_DIR / "chain_v5delta_n4.json"),
                                    "--k", "0.05:5:199"],
     # Reports: second-sheet poles from the coupling block, and band edges.

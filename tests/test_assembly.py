@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qstar import (
-    AtThresholdError,
     ChannelSet,
     CompoundGraph,
     ExternalLine,
@@ -17,6 +16,7 @@ from qstar import (
     InternalEdge,
     InvalidParameterError,
     ScatteringMatrix,
+    SingularMatrixError,
     SingularSystemError,
     build_recipe,
     compound_smatrix,
@@ -25,6 +25,7 @@ from qstar import (
     graph_from_json,
     graph_to_dict,
     graph_to_json,
+    make_delta,
     smatrix,
 )
 from qstar.assembly import MAGNETIC, V5_DELTA, _open_block_distance
@@ -293,16 +294,15 @@ class TestCompoundSmatrix:
         bare = SingularSystemError(2.0)
         assert (bare.energy, bare.pivot, bare.floor, bare.column) == (2.0, None, None, None)
 
-    def test_at_threshold_error_carries_attributes(self):
-        g = GateN4(a=1.0, U=1.3)
-        with pytest.raises(AtThresholdError) as info:
-            smatrix(g.boundary_condition(), g.channels(np.sqrt(1.3)))
+    def test_threshold_resonance_error_carries_attributes(self):
+        # The star engine's singular system names its energy as the compound
+        # solver's does: a free line pair at zero kinetic energy.
+        with pytest.raises(SingularSystemError) as info:
+            smatrix(make_delta(2, 0.0), ChannelSet(2, (1.3, 1.3), 1.3))
         err = info.value
-        assert (err.energy, err.line, err.U) == (np.sqrt(1.3) ** 2, 3, 1.3)
-        assert str(err) == (
-            f"energy {err.energy!r} sits on the threshold of line 3 (U=1.3); "
-            "nudge the momentum instead"
-        )
+        assert isinstance(err, SingularMatrixError)
+        assert (err.energy, err.pivot, err.column) == (1.3, 0.0, 1)
+        assert str(err).startswith("wave-matching system singular at E=1.3: pivot 0.000e+00")
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 1001])
     def test_edge_at_a_multiple_of_pi_is_not_a_resonance(self, m):
@@ -384,13 +384,18 @@ class TestCompoundSmatrix:
         f = FilterN3(a=1.0, b=3.0, U=1.0)
         graph = build_recipe(f, d=0.01)
         bc = f.boundary_condition()
-        for energy, error in ((-1.0, ValueError), (1.0, AtThresholdError)):
-            with pytest.raises(error) as star:
-                smatrix(bc, ChannelSet(3, f.potentials, energy))
-            with pytest.raises(error) as chain:
-                compound_smatrix(graph, energy)
-            assert type(chain.value) is type(star.value)
-            assert str(chain.value) == str(star.value)
+        with pytest.raises(ValueError) as star:
+            smatrix(bc, ChannelSet(3, f.potentials, -1.0))
+        with pytest.raises(ValueError) as chain:
+            compound_smatrix(graph, -1.0)
+        assert type(chain.value) is type(star.value)
+        assert str(chain.value) == str(star.value)
+        # Both engines answer on the threshold E = U, where line 3 decouples,
+        # and agree there to the chain's O(d) distance (0.017 at d = 0.01).
+        star, chain = smatrix(bc, f.channels(1.0)).S, compound_smatrix(graph, 1.0).S
+        for S in (star, chain):
+            assert S[2, 2] == -1.0 and not S[2, :2].any() and not S[:2, 2].any()
+        assert np.abs(chain - star).max() < 0.05
 
     def test_open_mask_reflects_potentials(self):
         f = FilterN3(a=1.0, b=3.0, U=1.0)

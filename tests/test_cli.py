@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,11 +158,8 @@ class TestSweep:
         assert err == f"qstar: --b applies only to {flag} n3\n"
 
     def test_band_sweep_on_the_engine_matches_the_closed_form(self, capsys):
-        # The band golden's grid. Elsewhere the gap is at most 1.2e-13
-        # relative; two points sit on sqrt(V) and sqrt(U) and are nudged to
-        # t(1 + 1e-8), where the engine's k_i = sqrt(E - U_i) inherits the
-        # rounding of E = k^2 (1.1e-9 relative in P31 and P41, 6.7e-13 in
-        # R11 and P21).
+        # The band golden's grid, with k = 0.5 and k = 1 on sqrt(V) and
+        # sqrt(U): the gap is at most 1.7e-13 relative on every row.
         g = qstar.GateN4(a=0.7071067811865476, U=1.0, V=0.25)
         code, out, _ = run_cli(
             ["sweep", "--device", "n4", "--a", "0.7071067811865476", "--U", "1",
@@ -170,15 +168,11 @@ class TestSweep:
         )
         assert code == 0
         header, cols = parse_csv(out)
+        assert np.isin([0.5, 1.0], cols["k"]).all()
         s11, s21, s31, s41 = qstar.n4_amplitudes(g, cols["k"])
-        nudged = np.isin(cols["k"], [0.5 * (1 + 1e-8), 1 + 1e-8])
-        assert nudged.sum() == 2
         for name, s in zip(("R11", "P21", "P31", "P41"), (s11, s21, s31, s41)):
-            closed = np.abs(s) ** 2
-            np.testing.assert_allclose(cols[name][~nudged], closed[~nudged],
+            np.testing.assert_allclose(cols[name], np.abs(s) ** 2,
                                        rtol=1e-12, atol=0, err_msg=name)
-            np.testing.assert_allclose(cols[name][nudged], closed[nudged],
-                                       rtol=2e-9, atol=0, err_msg=name)
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--device", "n3", "--a", "1", "--b", "3", "--k", "0.5:inf:3"],
@@ -191,7 +185,8 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert "positive and finite" in err
 
-    def test_grid_nudges_threshold_point(self, capsys):
+    def test_grid_keeps_threshold_point(self, capsys):
+        # k = 1 is evaluated on the threshold of line 3, which decouples.
         code, out, _ = run_cli(
             ["sweep", "--device", "n4", "--a", "0.7071067811865476", "--U", "1",
              "--V", "0.25", "--k", "0.5:1.5:3"],
@@ -199,7 +194,21 @@ class TestSweep:
         )
         assert code == 0
         _, cols = parse_csv(out)
-        assert cols["k"][1] == pytest.approx(1.0 + 1e-8, abs=1e-12)
+        assert cols["k"].tolist() == [0.5, 1.0, 1.5]
+        assert cols["P31"][1] == 0.0 and cols["P41"][0] == 0.0
+        sums = cols["R11"] + cols["P21"] + cols["P31"] + cols["P41"]
+        assert np.abs(sums - 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--device", "n3", "--a", "1", "--b", "3", "--k", "0.5:1e200:3"],
+        ["smatrix", "--device", "n3", "--a", "1", "--b", "3", "--U", "1", "--k", "1e200"],
+    ], ids=["sweep", "smatrix"])
+    def test_momentum_whose_energy_overflows_exits_2(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "qstar: momentum 1e+200 is too large: its energy k^2 overflows\n"
 
 
 class TestReports:
@@ -539,14 +548,28 @@ class TestSmatrix:
         assert data["open"] == [True, True, False]
         assert data["probabilities"][0][2] is None
 
-    def test_threshold_momentum_is_numerical_failure(self, capsys):
-        code, _, err = run_cli(
+    def test_threshold_momentum_is_the_decoupling_limit(self, capsys):
+        code, out, _ = run_cli(
             ["smatrix", "--device", "n3", "--a", "1", "--b", "3", "--U", "1",
              "--k", "1.0"],
             capsys,
         )
-        assert code == 3
-        assert "threshold" in err
+        assert code == 0
+        data = json.loads(out)
+        assert abs(data["probabilities"][1][0] - 1.0) <= 1e-12
+        assert data["S"][2] == [[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]
+        assert data["open"] == [True, True, False]
+
+    def test_threshold_resonance_is_numerical_failure(self, tmp_path, capsys):
+        # Two free lines at zero kinetic energy: A + iBK = A is singular.
+        path = tmp_path / "bc.json"
+        path.write_text(bc_to_json(make_delta(2, 0.0)))
+        code, out, err = run_cli(
+            ["smatrix", "--bc", str(path), "--potentials", "1,1", "--k", "1.0"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == ("qstar: numerical failure: wave-matching system singular at E=1.0: "
+                       "pivot 0.000e+00 below floor 1.000e-14 at column 1\n")
 
 
 class TestGraph:
@@ -611,6 +634,13 @@ class TestGraph:
         code, out, err = run_cli(["graph", str(chain_config), "--E", "4.0"], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("qstar: config error: malformed graph config: expected a number")
+
+    def test_momentum_whose_energy_overflows_exits_2(self, chain_config, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["graph", str(chain_config), "--k", "0.5:1e200:3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "qstar: momentum 1e+200 is too large: its energy k^2 overflows\n"
 
     @pytest.mark.parametrize("group, key", [("vertices", "strength"), ("edges", "d")])
     def test_integer_beyond_float_range_is_a_config_error(

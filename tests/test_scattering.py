@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from qstar import (
-    AtThresholdError,
     ChannelSet,
     ClosedIncomingChannelError,
     DimensionMismatchError,
     FilterN3,
     GateN4,
+    SingularSystemError,
     final_state,
     make_delta,
     make_st_form,
@@ -18,7 +18,6 @@ from qstar import (
     smatrix,
     wavefunction,
 )
-from qstar.scattering import nudge_off_threshold
 
 from conftest import random_channels, random_st_coupling, rng_for
 
@@ -63,16 +62,42 @@ class TestEngineAgainstClosedForms:
         sm = smatrix(filter_n3.boundary_condition(), filter_n3.channels(np.sqrt(2.0)))
         assert abs(sm.S[1, 0] - 2.0 / (2.0 + 9.0 / np.sqrt(2.0))) < 1e-12
 
-    def test_threshold_is_excluded(self, filter_n3):
-        with pytest.raises(AtThresholdError):
-            smatrix(filter_n3.boundary_condition(), filter_n3.channels(1.0))
+    @pytest.mark.parametrize("device, k, line, at_peak", [
+        (FilterN3(a=1.0, b=3.0, U=1.0), 1.0, 3, True),
+        (GateN4(a=1.0, U=1.0), 1.0, 3, True),
+        (GateN4(a=1.0, U=1.0, V=0.25), 1.0, 3, False),
+        (GateN4(a=1.0, U=1.0, V=0.25), 0.5, 4, False),
+    ], ids=["filter", "gate", "band-U", "band-V"])
+    def test_threshold_is_the_decoupling_limit(self, device, k, line, at_peak):
+        # On E = U_j, k_j = 0: row and column j vanish off the diagonal and
+        # S_jj = -1. Column 1 is the closed form's on every line that is
+        # open or on its threshold, and P21 is the V = 0 devices' peak.
+        S = smatrix(device.boundary_condition(), device.channels(k)).S
+        j = line - 1
+        assert S[j, j] == -1.0
+        assert not np.delete(S[j], j).any() and not np.delete(S[:, j], j).any()
+        amplitudes = n3_amplitudes if isinstance(device, FilterN3) else n4_amplitudes
+        want = np.array(amplitudes(device, k))
+        reached = k * k >= np.array(device.potentials)
+        assert np.abs(S[reached, 0] - want[reached]).max() <= 1e-12 * np.abs(want).max()
+        if at_peak:
+            assert abs(abs(S[1, 0]) ** 2 - device.peak_transmission) <= 1e-12
+
+    def test_threshold_resonance_is_a_singular_system(self):
+        # A free line pair at zero kinetic energy: A + iBK = A is singular.
+        with pytest.raises(SingularSystemError) as info:
+            smatrix(make_delta(2, 0.0), ChannelSet(2, (1.0, 1.0), 1.0))
+        err = info.value
+        assert (err.energy, err.column, err.pivot) == (1.0, 1, 0.0)
+        assert str(err) == ("wave-matching system singular at E=1.0: "
+                            "pivot 0.000e+00 below floor 1.000e-14 at column 1")
 
     def test_threshold_limit_from_below(self, filter_n3):
         sm = smatrix(filter_n3.boundary_condition(), filter_n3.channels(1.0 - 1e-8))
         assert abs(abs(sm.S[1, 0]) ** 2 - 1.0) < 1e-6
 
     def test_threshold_approach_from_above_matches_closed_form(self, filter_n3):
-        # The upward-nudged point keeps the square-root cusp: the value is
+        # Just above the threshold the square-root cusp shows: the value is
         # 1 - O(b^2 sqrt(eps)), so compare against the closed form, not 1.
         k = 1.0 + 1e-8
         sm = smatrix(filter_n3.boundary_condition(), filter_n3.channels(k))
@@ -200,6 +225,12 @@ class TestWavefunction:
         with pytest.raises(ClosedIncomingChannelError):
             wavefunction(filter_n3.boundary_condition(), ch, 2, 0.0, 0)
 
+    def test_line_on_its_threshold_rejected(self, filter_n3):
+        # S_31 = 0 there, but the wave's 1/sqrt(k_3) is not defined.
+        ch = ChannelSet(3, (0.0, 0.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match="line 3 sits on its threshold at energy 1.0"):
+            final_state(filter_n3.boundary_condition(), ch, 0)
+
     def test_bad_line_or_position_rejected(self, filter_n3):
         ch, bc = filter_n3.channels(1.5), filter_n3.boundary_condition()
         with pytest.raises(DimensionMismatchError, match="line index 3 out of range"):
@@ -230,11 +261,10 @@ class TestChannelSet:
         with pytest.raises(ValueError, match="energy must be finite"):
             ChannelSet(2, (0.0, 0.0), np.nan)
 
-    def test_nudge_off_threshold(self):
-        ks = np.array([0.5, 1.0 - 1e-13, 1.0 + 1e-11, 2.0])
-        moved = nudge_off_threshold(ks, (0.0, -1.0, 1.0, 4.0))
-        assert list(moved) == [0.5, 1.0 + 1e-8, 1.0 + 1e-11, 2.0 * (1.0 + 1e-8)]
-        assert ks[1] == 1.0 - 1e-13  # the input is not modified
+    def test_momentum_whose_energy_overflows_is_refused(self):
+        with pytest.raises(ValueError, match=r"momentum 1e\+200 is too large"):
+            ChannelSet.at_momentum((0.0, 0.0), 1e200)
+        assert ChannelSet.at_momentum((0.0, 0.0), 1e154).energy == 1e154**2
 
     def test_nonpositive_energy_rejected(self):
         bc = make_st_form(2, 1, [[1.0]])

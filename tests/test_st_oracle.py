@@ -8,9 +8,9 @@ and per-line momenta k_i = sqrt(E - U_i) on the principal branch,
 
 where T~^H conjugates T but not the momentum ratio, so the formula also
 holds for closed (evanescent) lines. It shares no code with the engine,
-which solves (A K^-1 + i B K) S = -(A K^-1 - i B K). The delta chains of
-``build_recipe`` are checked against it too, on stand-in targets with a
-random real T.
+which solves (A + i B K) X = B K^1/2 with K = diag(k_i) and forms
+S = -I + 2i K^1/2 X. The delta chains of ``build_recipe`` are checked
+against it too, on stand-in targets with a random real T.
 """
 
 from dataclasses import dataclass
@@ -182,6 +182,7 @@ def test_threshold_decouples_the_opening_line():
     # As E -> U_j+ for a line j of the second group, k_j -> 0 and S on the
     # other lines tends to the S-matrix of T with column j deleted, which is
     # the exact limit; the distance is O(sqrt(delta)) for E = U_j (1 + delta).
+    # At delta = 0 the engine gives that limit itself, with S_jj = -1.
     rng = rng_for("st-oracle-threshold-decoupling")
     for _ in range(12):
         n, m, T = random_block(rng)
@@ -200,3 +201,7 @@ def test_threshold_decouples_the_opening_line():
             want = st_oracle(np.delete(T, j - m, axis=1), pots[keep], energy)
             distances.append(float(np.abs(S - want).max()))
         assert 8.0 <= distances[0] / distances[1] <= 12.0, (T, pots, j, distances)
+        S = smatrix(bc, ChannelSet(n, tuple(pots), pots[j])).S
+        want = st_oracle(np.delete(T, j - m, axis=1), pots[keep], pots[j])
+        assert np.abs(S[np.ix_(keep, keep)] - want).max() <= 1e-13, (T, pots, j)
+        assert S[j, j] == -1.0 and not np.delete(S[j], j).any()
