@@ -184,6 +184,8 @@ class FluxCurve:
         u = np.asarray(self.potentials)
         j = np.asarray(self.fluxes)
         keep = u > 0
+        if not keep.any():
+            raise ValueError(f"linearity deviation needs a potential > 0, got {self.potentials}")
         slopes = j[keep] / u[keep]
         mean = slopes.mean()
         if mean == 0.0:

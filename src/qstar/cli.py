@@ -8,8 +8,9 @@ Subcommands:
 - ``graph``    run a compound-graph config file (JSON or CSV sweep)
 
 Output is deterministic: identical invocations produce byte-identical
-files. CSV rows use CRLF line endings and 17-significant-digit floats;
-JSON text comes from :func:`vertex.json_text`.
+files. CSV text comes from one writer, :func:`_csv_table` (float columns
+formatted in bulk to 17 significant digits, CRLF rows); JSON text from
+:func:`vertex.json_text`.
 Exit codes: 0 ok, 2 usage/config error, 3 numerical failure (a qstar
 error or a float overflow).
 """
@@ -17,9 +18,7 @@ error or a float overflow).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from dataclasses import asdict
@@ -35,10 +34,6 @@ EXIT_NUMERICAL = 3
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def momentum_grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -82,34 +77,34 @@ def _device_from_args(args, kind: str, flag: str) -> devices.FilterN3 | devices.
     return devices.GateN4(a=a, U=U, V=V)
 
 
-def _sweep_rows(device, grid: np.ndarray) -> tuple[list[str], list[list[str]]]:
+def _engine_columns(solve, grid: np.ndarray, lines: list[int], incoming: int) -> np.ndarray:
+    """P[i, incoming] of the S-matrix ``solve(k)``, one row per i in ``lines``
+    and one column per k of ``grid``: one engine solve and one probabilities
+    call per point."""
+    cols = np.empty((len(lines), len(grid)))
+    for m, k in enumerate(grid.tolist()):
+        cols[:, m] = scattering.probabilities(solve(k))[lines, incoming]
+    return cols
+
+
+def _sweep_columns(device, grid: np.ndarray):
     if isinstance(device, devices.GateN4) and device.V != 0.0:
         # band mode: engine-backed, transmission masked on closed lines
         bc = device.boundary_condition()
-        rows = []
-        for k in grid:
-            sm = scattering.smatrix(bc, device.channels(float(k)))
-            p = scattering.probabilities(sm)
-            rows.append([p[1, 0], p[0, 0], p[2, 0], p[3, 0]])
-        cols = list(np.array(rows).T)
-    else:
-        amplitudes = (devices.n3_amplitudes if isinstance(device, devices.FilterN3)
-                      else devices.n4_amplitudes)
-        s11, s21, *s_rest = amplitudes(device, grid)
-        cols = [np.abs(s) ** 2 for s in (s21, s11, *s_rest)]
-    header = ["k", "P21", "R11", "P31", "P41"][: len(cols) + 1]
-    table = [
-        [_fmt(k)] + [_fmt(c[i]) for c in cols] for i, k in enumerate(grid)
-    ]
-    return header, table
+        return _engine_columns(lambda k: scattering.smatrix(bc, device.channels(k)),
+                               grid, [1, 0, 2, 3], 0)
+    amplitudes = (devices.n3_amplitudes if isinstance(device, devices.FilterN3)
+                  else devices.n4_amplitudes)
+    s11, s21, *s_rest = amplitudes(device, grid)
+    return [np.abs(s) ** 2 for s in (s21, s11, *s_rest)]
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)  # default dialect: RFC-4180 CRLF
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_text(path, buf.getvalue())
+def _csv_table(header: list[str], columns) -> str:
+    """CSV text of a header row and float columns of equal length: each
+    column formatted in bulk to 17 significant digits, rows ending in CRLF,
+    the bytes of the csv module's default dialect for these cells."""
+    cells = [map("{:.17g}".format, c.tolist()) for c in columns]
+    return "".join(",".join(row) + "\r\n" for row in (header, *zip(*cells)))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -141,8 +136,9 @@ def _cmd_sweep(args) -> int:
     device = _device_from_args(args, args.device, "--device")
     lo, hi, steps = _parse_range(args.k)
     grid = momentum_grid(lo, hi, steps)
-    header, rows = _sweep_rows(device, grid)
-    _write_csv(args.output, header, rows)
+    cols = _sweep_columns(device, grid)
+    header = ["k", "P21", "R11", "P31", "P41"][: len(cols) + 1]
+    _write_text(args.output, _csv_table(header, [grid, *cols]))
     return EXIT_OK
 
 
@@ -184,7 +180,7 @@ def _cmd_report_flux(args) -> int:
             "quadrature_abs": numerics.QUAD_ABS_TOL, "quadrature_rel": numerics.QUAD_REL_TOL,
         },
     }
-    if args.U_grid:
+    if args.U_grid is not None:
         us = [float(u) for u in args.U_grid.split(",")]
         curve = analysis.flux_curve(args.a, dist, args.kF, us, V=args.V)
         payload["curve"] = [[u, j] for u, j in zip(curve.potentials, curve.fluxes)]
@@ -195,6 +191,9 @@ def _cmd_report_flux(args) -> int:
 
 def _cmd_report_converge(args) -> int:
     target = _device_from_args(args, args.recipe, "--recipe")
+    if args.d0 > 0 and args.halvings >= 0 and args.d0 * 2.0**-args.halvings == 0.0:
+        raise UsageError(f"--d0 {args.d0!r} halved {args.halvings} times is d = 0.0: "
+                         "the smallest separation must be a positive float")
     ds = tuple(args.d0 * 2.0**-m for m in range(args.halvings + 1))
     ks = tuple(float(k) for k in args.k_grid.split(","))
     rep = assembly.convergence_study(target, ks, ds, variant=args.variant)
@@ -257,13 +256,10 @@ def _cmd_graph(args) -> int:
         return EXIT_OK
     lo, hi, steps = _parse_range(args.k)
     grid = momentum_grid(lo, hi, steps)
-    header = ["k"] + [f"P{i + 1}{args.incoming}" for i in range(graph.n_lines)]
-    rows = []
-    for k in grid:
-        sm = assembly.compound_smatrix(graph, float(k) ** 2)
-        p = scattering.probabilities(sm)
-        rows.append([_fmt(k)] + [_fmt(p[i, j]) for i in range(graph.n_lines)])
-    _write_csv(args.output, header, rows)
+    lines = list(range(graph.n_lines))
+    cols = _engine_columns(lambda k: assembly.compound_smatrix(graph, k**2), grid, lines, j)
+    header = ["k"] + [f"P{i + 1}{args.incoming}" for i in lines]
+    _write_text(args.output, _csv_table(header, [grid, *cols]))
     return EXIT_OK
 
 

@@ -239,6 +239,11 @@ class TestFlux:
     def test_linearity_deviation_of_a_zero_curve(self):
         assert FluxCurve((0.5, 1.0), (0.0, 0.0)).linearity_deviation() == 0.0
 
+    def test_linearity_deviation_needs_a_positive_potential(self):
+        # Refused by name before numpy averages an empty slice of slopes.
+        with pytest.raises(ValueError, match=r"potential > 0, got \(0\.0, -1\.0\)"):
+            FluxCurve((0.0, -1.0), (0.0, 0.0)).linearity_deviation()
+
     def test_zero_control_potential_in_band_mode(self):
         # U = 0 < V: every momentum lies above the control threshold.
         rep = flux_report(GateN4(a=1.0, U=0.0, V=0.5), RHO, 2.0)

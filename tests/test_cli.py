@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -321,6 +322,16 @@ class TestReports:
         assert len(data["curve"]) == 3
         assert data["linearity_deviation"] < 0.25
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0", "linearity deviation needs a potential > 0, got (0.0,)"),
+        ("", "could not convert string to float: ''"),
+    ])
+    def test_flux_curve_needs_a_positive_potential(self, grid, message, capsys):
+        code, out, err = run_cli(
+            ["report", "flux", "--a", "1", "--kF", "4", "--U", "0", "--U-grid", grid], capsys
+        )
+        assert (code, out, err) == (2, "", f"qstar: {message}\n")
+
     @pytest.mark.parametrize("V", ["1", "1.5"])
     def test_flux_report_with_drain_at_or_above_control(self, V, capsys):
         # With V = U nothing passes from line 1 to line 2; above, the band
@@ -404,6 +415,22 @@ class TestReports:
         assert code == 2
         assert out == ""
         assert "at least one momentum and one separation" in err
+
+    def test_converge_halvings_to_zero_exit_2_before_any_solve(self, monkeypatch, capsys):
+        def study(*args, **kwargs):
+            raise AssertionError("convergence_study was called")
+
+        monkeypatch.setattr(qstar.assembly, "convergence_study", study)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
+             "--d0", "0.1", "--halvings", "100000"],
+            capsys,
+        )
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == ("qstar: --d0 0.1 halved 100000 times is d = 0.0: "
+                       "the smallest separation must be a positive float\n")
 
     @pytest.mark.parametrize("d0", ["inf", "nan", "0", "-0.1"])
     def test_converge_separation_must_be_positive_and_finite(self, d0, capsys):
