@@ -158,7 +158,6 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     if n < 2:
         raise InvalidParameterError("need at least two external lines")
     channels = ChannelSet(n, tuple(line.U for line in graph.lines), float(energy))
-    channels.assert_evaluable()
     k = float(np.sqrt(channels.energy))
     k_lines = channels.momenta()
     sqrt_k = np.sqrt(k_lines)
@@ -207,7 +206,7 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     except SingularMatrixError as exc:
         raise SingularSystemError(float(energy), exc) from exc
     s = sqrt_k[:, None] * psi[at] - np.eye(n)
-    return ScatteringMatrix(S=s, k=k, open_mask=channels.open_mask())
+    return ScatteringMatrix(s, channels)
 
 
 MAGNETIC = "magnetic"
@@ -282,7 +281,7 @@ class ConvergenceReport:
 
 def _open_block_distance(s_a: ScatteringMatrix, s_b: ScatteringMatrix) -> float:
     """Max-abs difference over channels open in both matrices."""
-    open_both = np.asarray(s_a.open_mask) & np.asarray(s_b.open_mask)
+    open_both = s_a.channels.open_mask() & s_b.channels.open_mask()
     idx = np.flatnonzero(open_both)
     if idx.size == 0:
         return 0.0

@@ -37,8 +37,8 @@ class UsageError(Exception):
 
 
 def momentum_grid(lo: float, hi: float, steps: int) -> np.ndarray:
-    """Inclusive linear grid of momenta with energies k^2 in the float
-    range (:func:`scattering.momentum_energy`)."""
+    """Inclusive linear grid of momenta with energies k^2 positive and
+    finite (:func:`scattering.momentum_energy`)."""
     if not (lo < hi) or steps < 2:
         raise UsageError(f"invalid momentum range {lo}:{hi}:{steps}")
     for k in (lo, hi):
@@ -93,6 +93,10 @@ def _sweep_columns(device, grid: np.ndarray):
         bc = device.boundary_condition()
         return _engine_columns(lambda k: scattering.smatrix(bc, device.channels(k)),
                                grid, [1, 0, 2, 3], 0)
+    k, U = float(grid[0]), max(device.potentials)  # the closed forms need U/k^2 finite
+    if np.isinf(U / k**2):
+        raise UsageError(f"momentum {k!r} is too small for the closed-form sweep: "
+                         f"U/k^2 overflows for U = {U!r}")
     amplitudes = (devices.n3_amplitudes if isinstance(device, devices.FilterN3)
                   else devices.n4_amplitudes)
     s11, s21, *s_rest = amplitudes(device, grid)
@@ -119,13 +123,14 @@ def _write_json(path: str | None, payload: dict) -> None:
     _write_text(path, vertex.json_text(payload) + "\n")
 
 
-def _smatrix_payload(sm: scattering.ScatteringMatrix, potentials) -> dict:
+def _smatrix_payload(sm: scattering.ScatteringMatrix) -> dict:
+    ch = sm.channels
     return {
-        "k": sm.k,
-        "energy": sm.k**2,
+        "k": float(np.sqrt(ch.energy)),
+        "energy": ch.energy,
         "n": sm.n,
-        "potentials": potentials,
-        "open": sm.open_mask,
+        "potentials": ch.potentials,
+        "open": ch.open_mask(),
         "S": np.stack([sm.S.real, sm.S.imag], -1),
         "probabilities": scattering.probabilities(sm),  # nan (closed column) as null
         "unitarity_defect": sm.unitarity_defect(),
@@ -235,8 +240,7 @@ def _cmd_smatrix(args) -> int:
         device = _device_from_args(args, args.device, "--device")
         bc = device.boundary_condition()
         ch = device.channels(args.k)
-    sm = scattering.smatrix(bc, ch)
-    _write_json(args.output, _smatrix_payload(sm, ch.potentials))
+    _write_json(args.output, _smatrix_payload(scattering.smatrix(bc, ch)))
     return EXIT_OK
 
 
@@ -249,8 +253,7 @@ def _cmd_graph(args) -> int:
     if not 0 <= j < graph.n_lines:
         raise UsageError(f"incoming line {args.incoming} out of range")
     if args.E is not None:
-        sm = assembly.compound_smatrix(graph, args.E)
-        payload = _smatrix_payload(sm, [l.U for l in graph.lines])
+        payload = _smatrix_payload(assembly.compound_smatrix(graph, args.E))
         payload["config"] = args.config
         _write_json(args.output, payload)
         return EXIT_OK

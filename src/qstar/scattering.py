@@ -38,20 +38,23 @@ from .vertex import BoundaryCondition
 
 def momentum_energy(k: float) -> float:
     """Energy k^2 of the momentum k. Raises ValueError unless k is positive
-    and finite (k^2 would hide the sign of a negative k) and k^2 is in the
-    float range."""
+    and finite (k^2 would hide the sign of a negative k) and k^2 is a
+    positive float."""
     k = float(k)
     if not 0 < k < np.inf:
         raise ValueError(f"momentum must be positive and finite, got {k!r}")
     try:
-        return k**2
+        energy = k**2
     except OverflowError:
         raise ValueError(f"momentum {k!r} is too large: its energy k^2 overflows") from None
+    if energy == 0.0:
+        raise ValueError(f"momentum {k!r} is too small: its energy k^2 underflows to 0")
+    return energy
 
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """Per-line potentials and the common energy E = k^2."""
+    """Per-line potentials and the common energy E = k^2 > 0."""
 
     n: int
     potentials: tuple[float, ...]
@@ -69,6 +72,8 @@ class ChannelSet:
             raise ValueError("potentials must be finite")
         if not np.isfinite(self.energy):
             raise ValueError("energy must be finite")
+        if self.energy <= 0:
+            raise ValueError(f"energy must be positive, got {self.energy!r}")
         object.__setattr__(self, "potentials", pots)
 
     @classmethod
@@ -85,23 +90,17 @@ class ChannelSet:
     def open_mask(self) -> np.ndarray:
         return self.energy > np.array(self.potentials)
 
-    def assert_evaluable(self):
-        """Raise ValueError unless E > 0."""
-        if self.energy <= 0:
-            raise ValueError(f"energy must be positive, got {self.energy!r}")
-
 
 @dataclass(frozen=True)
 class ScatteringMatrix:
-    """S-matrix at one energy, with the open-channel mask.
+    """S-matrix for the channels it was solved for.
 
     Restricted to open channels S is flux-unitary; rows/columns of closed
     channels hold the analytically continued amplitudes.
     """
 
     S: np.ndarray
-    k: float
-    open_mask: np.ndarray
+    channels: ChannelSet
 
     @property
     def n(self) -> int:
@@ -109,7 +108,7 @@ class ScatteringMatrix:
 
     def unitarity_defect(self) -> float:
         """max_j |sum_(i open) |S_ij|^2 - 1| over open incoming j."""
-        open_idx = np.flatnonzero(self.open_mask)
+        open_idx = np.flatnonzero(self.channels.open_mask())
         if open_idx.size == 0:
             return 0.0
         block = self.S[np.ix_(open_idx, open_idx)]
@@ -126,7 +125,6 @@ def smatrix(bc: BoundaryCondition, ch: ChannelSet) -> ScatteringMatrix:
         raise DimensionMismatchError(
             f"coupling degree {bc.n} != channel count {ch.n}"
         )
-    ch.assert_evaluable()
     k = ch.momenta()
     sqrt_k = np.sqrt(k)
     try:
@@ -135,7 +133,7 @@ def smatrix(bc: BoundaryCondition, ch: ChannelSet) -> ScatteringMatrix:
         raise SingularSystemError(ch.energy, exc) from exc
     s *= sqrt_k[:, None]
     s.reshape(-1)[:: ch.n + 1] -= 1.0  # s is C-contiguous: a view
-    return ScatteringMatrix(S=s, k=float(np.sqrt(ch.energy)), open_mask=ch.open_mask())
+    return ScatteringMatrix(s, ch)
 
 
 def probabilities(sm: ScatteringMatrix) -> np.ndarray:
@@ -146,7 +144,7 @@ def probabilities(sm: ScatteringMatrix) -> np.ndarray:
     are flagged NaN.
     """
     p = np.abs(sm.S) ** 2
-    open_ = np.asarray(sm.open_mask, dtype=bool)
+    open_ = sm.channels.open_mask()
     p[~open_, :] = 0.0
     p[:, ~open_] = np.nan
     return p

@@ -325,6 +325,17 @@ class TestFlux:
             exact += 0.25 * (c0 * (hi**2 - lo**2) / 2 + c1 * (hi**3 - lo**3) / 3)
         assert rep.below_threshold == pytest.approx(exact, abs=1e-10)
 
+    def test_knot_next_to_the_origin(self):
+        # A knot at 1e-170 makes the quadrature sample k ~ 1e-175, where
+        # U/k^2 overflows in the transmission; rho*k*P vanishes there, and
+        # the integrand answers 0 below k = 1e-20.
+        g = GateN4(a=0.9, U=1.0)
+        near = MomentumDistribution.tabulated([0.0, 1e-170, 4.0], [1.0, 1.0, 1.0])
+        plain = MomentumDistribution.tabulated([0.0, 4.0], [1.0, 1.0])
+        rep = flux_report(g, near, 4.0)
+        assert math.isfinite(rep.total)
+        assert rep.total == flux_report(g, plain, 4.0).total
+
     def test_flat_gate_report_call_budget(self):
         calls = []
         dist = MomentumDistribution(lambda k: calls.append(k) or 1.0)

@@ -401,7 +401,13 @@ class TestCompoundSmatrix:
         f = FilterN3(a=1.0, b=3.0, U=1.0)
         graph = build_recipe(f, d=0.01)
         sm = compound_smatrix(graph, 0.25)
-        assert list(sm.open_mask) == [True, True, False]
+        assert list(sm.channels.open_mask()) == [True, True, False]
+
+    def test_record_holds_the_graph_channels(self):
+        graph = build_recipe(GateN4(a=0.8, U=1.5, V=0.5), d=0.01)
+        sm = compound_smatrix(graph, 2.0)
+        assert sm.channels == ChannelSet(4, (0.0, 0.0, 1.5, 0.5), 2.0)
+        assert sm.channels.potentials == tuple(line.U for line in graph.lines)
 
 
 class TestConvergence:
@@ -447,8 +453,8 @@ class TestConvergence:
 
     def test_open_block_distance_without_common_open_line(self):
         s = np.ones((2, 2), dtype=complex)
-        one = ScatteringMatrix(S=s, k=1.0, open_mask=np.array([True, False]))
-        other = ScatteringMatrix(S=2 * s, k=1.0, open_mask=np.array([False, True]))
+        one = ScatteringMatrix(s, ChannelSet(2, (0.0, 2.0), 1.0))
+        other = ScatteringMatrix(2 * s, ChannelSet(2, (2.0, 0.0), 1.0))
         assert _open_block_distance(one, other) == 0.0
 
 

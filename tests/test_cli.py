@@ -211,6 +211,34 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err == "qstar: momentum 1e+200 is too large: its energy k^2 overflows\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--device", "n4", "--a", "1", "--V", "0.5", "--k", "1e-200:1:3"],
+        ["smatrix", "--device", "n3", "--a", "1", "--b", "3", "--k", "1e-200"],
+        ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3", "--k-grid", "1e-200"],
+    ], ids=["band-sweep", "smatrix", "converge"])
+    def test_momentum_whose_energy_underflows_exits_2(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "qstar: momentum 1e-200 is too small: its energy k^2 underflows to 0\n"
+
+    @pytest.mark.parametrize("device", [["n3", "--a", "1", "--b", "3"],
+                                        ["n4", "--a", "0.7071067811865476"]], ids=["n3", "n4"])
+    def test_momentum_too_small_for_the_closed_forms_exits_2(self, device, capsys):
+        # k^2 = 1e-320 is a float, but U/k^2 overflows: the closed forms
+        # would give a nan row.
+        code, out, err = run_cli(["sweep", "--device", *device, "--k", "1e-160:1:3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("qstar: momentum 1e-160 is too small for the closed-form sweep: "
+                       "U/k^2 overflows for U = 1.0\n")
+
+    def test_band_sweep_answers_at_tiny_momentum(self, capsys):
+        # The engine needs no U/k^2: at k = 1e-160 line 1 reflects fully.
+        code, out, err = run_cli(["sweep", "--device", "n4", "--a", "1", "--V", "0.5",
+                                  "--k", "1e-160:1:3"], capsys)
+        assert (code, err) == (0, "")
+        _, cols = parse_csv(out)
+        assert cols["R11"][0] == 1.0 and 0.0 < cols["P21"][0] < 1e-300
+
 
 class TestReports:
     def test_pole_report(self, capsys):
@@ -469,6 +497,17 @@ class TestSmatrix:
         assert data["open"] == [True, True, True]
         assert data["unitarity_defect"] < 1e-10
 
+    def test_momentum_echo(self, capsys):
+        # "energy" is the k**2 that was solved and "k" its square root,
+        # which squares back to k**2: the echo of a momentum is k's own.
+        for k in np.random.default_rng(7).uniform(0.05, 6.0, 50).tolist():
+            code, out, _ = run_cli(["smatrix", "--device", "n4", "--a", "1", "--k", repr(k)],
+                                   capsys)
+            data = json.loads(out)
+            assert code == 0 and data["energy"] == k**2
+            assert data["k"] == float(np.sqrt(k**2)) and data["k"] ** 2 == k**2
+            assert data["potentials"] == [0.0, 0.0, 1.0, 0.0]
+
     def test_bc_file_mode(self, tmp_path, capsys):
         path = tmp_path / "bc.json"
         path.write_text(bc_to_json(make_st_form(2, 1, [[1.0]])))
@@ -614,6 +653,19 @@ class TestGraph:
         assert data["n"] == 3
         assert data["unitarity_defect"] < 1e-8
 
+    def test_energy_echo_is_the_given_energy(self, chain_config, capsys):
+        # For 100 of these energies (sqrt E)**2 != E, so an echo read
+        # back from k would miss them.
+        energies = np.random.default_rng(2024).uniform(0.05, 30.0, 200).tolist()
+        assert sum(float(np.sqrt(e)) ** 2 != e for e in energies) == 100
+        for energy in energies:
+            code, out, err = run_cli(["graph", str(chain_config), "--E", repr(energy)], capsys)
+            assert (code, err) == (0, "")
+            data = json.loads(out)
+            assert data["energy"] == energy
+            assert data["k"] == float(np.sqrt(energy))
+            assert data["potentials"] == [0.0, 0.0, 1.0]
+
     def test_momentum_sweep(self, chain_config, capsys):
         code, out, _ = run_cli(
             ["graph", str(chain_config), "--k", "0.5:2:8"], capsys
@@ -669,6 +721,11 @@ class TestGraph:
         assert (code, out) == (2, "")
         assert err == "qstar: momentum 1e+200 is too large: its energy k^2 overflows\n"
 
+    def test_momentum_whose_energy_underflows_exits_2(self, chain_config, capsys):
+        code, out, err = run_cli(["graph", str(chain_config), "--k", "1e-200:1:3"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "qstar: momentum 1e-200 is too small: its energy k^2 underflows to 0\n"
+
     @pytest.mark.parametrize("group, key", [("vertices", "strength"), ("edges", "d")])
     def test_integer_beyond_float_range_is_a_config_error(
             self, chain_config, capsys, group, key):
@@ -723,7 +780,9 @@ class TestGraph:
 class TestFrozenJsonBytes:
     """Exact stdout of two JSON runs with a closed channel (null
     probabilities), frozen from the output of ``json.dumps(..., indent=2,
-    sort_keys=True)`` before ``vertex.json_text`` replaced it."""
+    sort_keys=True)`` before ``vertex.json_text`` replaced it. The graph
+    run echoes ``"energy": 2.0``, the ``--E 2.0`` it was given, not
+    (sqrt 2.0)**2 = 2.0000000000000004."""
 
     BC = """{"n": 3,
      "A": [[[0, 0], [0, 0], [0, 0]], [[-1, 0], [1, 0], [0, 0]], [[-0.5, 0.25], [0, 0], [1, 0]]],

@@ -2,7 +2,9 @@
 
 Pytest does not collect the ``make_*_reference.py`` scripts, and running
 them needs mpmath, so an error in one would show only when a fixture is
-regenerated. Here each is byte-compiled, which imports nothing.
+regenerated. Here each is byte-compiled, which imports nothing, and so is
+``cli_bytes.py``, the CLI byte-identity check, which pytest does not
+collect either.
 
 Each CSV golden is a CLI sweep of a ``lo:hi:steps`` grid in
 ``GOLDEN_SWEEPS``, and the CLI takes numpy.linspace of that grid as it
@@ -21,7 +23,7 @@ import pytest
 from test_acceptance import GOLDEN_SWEEPS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-SCRIPTS = sorted(GOLDEN.glob("make_*_reference.py"))
+SCRIPTS = sorted(GOLDEN.glob("make_*_reference.py")) + [GOLDEN.parent / "cli_bytes.py"]
 
 
 def _fixture_grids():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qstar import (
     DimensionMismatchError,
     FilterN3,
     GateN4,
+    ScatteringMatrix,
     SingularSystemError,
     final_state,
     make_delta,
@@ -266,7 +269,29 @@ class TestChannelSet:
             ChannelSet.at_momentum((0.0, 0.0), 1e200)
         assert ChannelSet.at_momentum((0.0, 0.0), 1e154).energy == 1e154**2
 
+    def test_momentum_whose_energy_underflows_is_refused(self):
+        with pytest.raises(ValueError, match=r"momentum 1e-200 is too small: "
+                                             r"its energy k\^2 underflows to 0"):
+            ChannelSet.at_momentum((0.0, 0.0), 1e-200)
+        assert ChannelSet.at_momentum((0.0, 0.0), 1e-160).energy == 1e-160**2 > 0
+
     def test_nonpositive_energy_rejected(self):
         bc = make_st_form(2, 1, [[1.0]])
         with pytest.raises(ValueError):
             smatrix(bc, ChannelSet(2, (0.0, 0.0), -1.0))
+
+    @pytest.mark.parametrize("energy", [0.0, -0.0, -1.0])
+    def test_nonpositive_energy_rejected_at_construction(self, energy):
+        with pytest.raises(ValueError, match=f"energy must be positive, got {energy!r}"):
+            ChannelSet(2, (0.0, 0.0), energy)
+
+
+class TestScatteringMatrixRecord:
+    def test_fields_are_the_matrix_and_its_channels(self):
+        assert [f.name for f in dataclasses.fields(ScatteringMatrix)] == ["S", "channels"]
+
+    def test_record_holds_the_channels_it_was_solved_for(self, filter_n3):
+        ch = filter_n3.channels(0.5)
+        sm = smatrix(filter_n3.boundary_condition(), ch)
+        assert sm.channels is ch
+        assert np.isnan(probabilities(sm)[:, 2]).all()  # line 3 closed at k = 0.5
