@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import functools
 import json
 import math
 
@@ -136,6 +137,17 @@ class CompoundGraph:
     def n_lines(self) -> int:
         return len(self.lines)
 
+    @functools.cached_property
+    def _layout(self):
+        """Edge ends, lengths and phases, vertex strengths, line vertices and
+        I_n for :func:`compound_smatrix`; not a field, so == and hash skip it."""
+        index = {v.id: i for i, v in enumerate(self.vertices)}
+        ends = np.array([(index[e.src], index[e.dst]) for e in self.edges], dtype=np.intp)
+        return (*ends.reshape(-1, 2).T, np.array([e.length for e in self.edges]),
+                np.array([e.phase for e in self.edges]),
+                np.array([v.strength for v in self.vertices]),
+                np.array([index[line.vertex] for line in self.lines]), np.eye(self.n_lines))
+
 
 #: Edges with kl above this and |sin kl| < 1/2 get one free vertex, at the
 #: midpoint or a quarter wave off it, so a system has at most V + E unknowns
@@ -162,41 +174,36 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     k_lines = channels.momenta()
     sqrt_k = np.sqrt(k_lines)
 
-    index = {v.id: i for i, v in enumerate(graph.vertices)}
-    size = len(graph.vertices)
-    lengths = [edge.length for edge in graph.edges]
-    if lengths and math.isinf(k * max(lengths)):
-        edge = graph.edges[lengths.index(max(lengths))]
+    src, dst, lengths, phases, strengths, at, eye = graph._layout
+    if lengths.size and math.isinf(k * float(lengths.max())):
+        edge = graph.edges[int(lengths.argmax())]
         raise InvalidParameterError(f"edge {edge.src!r}-{edge.dst!r}: phase k*d "
                                     f"overflows at energy {energy!r}")
-    ends, phases, pieces = [], [], []
-    kls = k * np.array(lengths)
-    for edge, kl, s, c in zip(graph.edges, kls.tolist(), np.sin(kls).tolist(),
-                              np.cos(kls).tolist()):
-        path = [index[edge.src], index[edge.dst]]
-        trig = [(s, c)]
-        if kl > _HALF_PI and abs(s) < 0.5:
-            h = 0.5 * kl
-            s, c = math.sin(h), math.cos(h)
-            trig = [(s, c), (s, c)] if abs(s) >= abs(c) else [(-c, s), (c, -s)]
-            path.insert(1, size)
-            size += 1
-        ends += zip(path, path[1:])
-        phases += [edge.phase] + [0.0] * (len(trig) - 1)
-        pieces += trig
+    kls = k * lengths
+    sin_kl, cos_kl = np.sin(kls), np.cos(kls)
+    split = np.flatnonzero((kls > _HALF_PI) & (np.abs(sin_kl) < 0.5))
+    if split.size:
+        # Edge i becomes the pieces (src_i, m) and (m, dst_i), the free
+        # vertices m numbered after the graph's in edge order.
+        h = 0.5 * kls[split]
+        s, c = (np.array([f(x) for x in h.tolist()]) for f in (math.sin, math.cos))
+        odd = np.abs(s) >= np.abs(c)
+        sin_kl[split], cos_kl[split] = np.where(odd, s, -c), np.where(odd, c, s)
+        after, mids = split + 1, len(strengths) + np.arange(split.size)
+        sin_kl = np.insert(sin_kl, after, np.where(odd, s, c))
+        cos_kl = np.insert(cos_kl, after, np.where(odd, c, -s))
+        src, dst = np.insert(src, after, mids), np.insert(dst, split, mids)
+        phases = np.insert(phases, after, 0.0)
 
+    size = len(strengths) + split.size
     lhs = np.zeros((size, size), dtype=np.complex128)
-    if ends:
-        src, dst = np.array(ends).T
-        sin_kl, cos_kl = np.array(pieces).T
-        y = k / sin_kl
-        across = y * np.exp(-1j * np.array(phases))
-        np.add.at(lhs, (src, dst), across)
-        np.add.at(lhs, (dst, src), across.conj())
-        np.add.at(lhs, (src, src), -y * cos_kl)
-        np.add.at(lhs, (dst, dst), -y * cos_kl)
-    lhs[np.diag_indices(len(graph.vertices))] -= [v.strength for v in graph.vertices]
-    at = np.array([index[line.vertex] for line in graph.lines])
+    y = k / sin_kl
+    across = y * np.exp(-1j * phases)
+    np.add.at(lhs, (src, dst), across)
+    np.add.at(lhs, (dst, src), across.conj())
+    np.add.at(lhs, (src, src), -y * cos_kl)
+    np.add.at(lhs, (dst, dst), -y * cos_kl)
+    lhs[np.diag_indices(len(strengths))] -= strengths
     np.add.at(lhs, (at, at), 1j * k_lines)
     rhs = np.zeros((size, n), dtype=np.complex128)
     rhs[at, range(n)] = 2j * sqrt_k
@@ -205,7 +212,7 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
         psi = solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
         raise SingularSystemError(float(energy), exc) from exc
-    s = sqrt_k[:, None] * psi[at] - np.eye(n)
+    s = sqrt_k[:, None] * psi[at] - eye
     return ScatteringMatrix(s, channels)
 
 

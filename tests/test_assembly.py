@@ -353,6 +353,38 @@ class TestCompoundSmatrix:
         assert sm.unitarity_defect() < 1e-13
         assert orders == [len(vertices) + len(edges)]
 
+    def test_solve_leaves_the_graph_value_alone(self):
+        # The per-graph layout is cached on the graph, outside its fields.
+        graph = build_recipe(GateN4(a=0.8, U=1.5, V=0.5), d=0.01, variant=V5_DELTA)
+        twin = CompoundGraph(graph.vertices, graph.lines, graph.edges)
+        before = (hash(graph), repr(graph), graph_to_dict(graph))
+        compound_smatrix(graph, 2.0)
+        assert graph == twin and twin == graph
+        assert (hash(graph), repr(graph), graph_to_dict(graph)) == before
+
+    def test_sweep_across_edge_splits_matches_fresh_graphs(self, monkeypatch):
+        # Energies at which zero to three edges split, in turn: each S of
+        # the sweep has the bits of a fresh graph solved at that energy alone.
+        orders = []
+
+        def recorded(lhs, rhs):
+            orders.append(len(lhs))
+            return solve_linear(lhs, rhs)
+
+        monkeypatch.setattr("qstar.assembly.solve_linear", recorded)
+        graph = CompoundGraph(
+            (GraphVertex("a", 0.7), GraphVertex("b", -1.9), GraphVertex("c", 0.4)),
+            (ExternalLine("a", 0.0), ExternalLine("b", 0.3), ExternalLine("c", 0.0)),
+            (InternalEdge("a", "b", 1.3, 0.4), InternalEdge("b", "c", 2.9),
+             InternalEdge("c", "a", 0.8, -1.1)),
+        )
+        for energy in np.linspace(0.5, 80.0, 61):
+            fresh = CompoundGraph(graph.vertices, graph.lines, graph.edges)
+            swept = compound_smatrix(graph, energy).S
+            assert swept.tobytes() == compound_smatrix(fresh, energy).S.tobytes(), energy
+        assert set(orders) == {3, 4, 5, 6}
+        assert orders[::2] != sorted(orders[::2])
+
     @pytest.mark.parametrize("case", LONG_EDGE["cases"],
                              ids=lambda case: f"d{case['d']:g}-{case['parity']}")
     def test_long_edge_matches_reference(self, case):
