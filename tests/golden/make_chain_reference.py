@@ -1,4 +1,5 @@
-"""Write ``chain_reference.json``: 40-digit probabilities of the golden chain.
+"""Write ``chain_reference.json`` and ``ring_reference.json``: 40-digit
+references of the two graph goldens.
 
 The chain is ``chain_v5delta_n4.json`` (the v5-delta chain of
 GateN4(0.83, 1, 0.25) at d = 1e-2), swept as ``qstar graph
@@ -17,6 +18,14 @@ row. It shares no formula with qstar's vertex-admittance solve. The
 probabilities |S_i1|^2 (0 on a closed line i) are written with 40
 significant digits. Inputs are doubles, read exactly.
 
+``ring_reference.json`` holds the S-matrix frozen in
+``graph_E_closed_channel.json``: ``qstar graph ring.json --E 2.0`` on the
+two-vertex ring ``TestFrozenJsonBytes.RING`` of ``test_cli.py`` (written
+here as ``graph_to_dict`` gives it), whose line 3 is closed at E = 2. It
+comes from the same system, with the closed line's momentum sqrt(E - U) on
+the principal branch, and is written as [re, im] pairs with 40 significant
+digits.
+
 Needs mpmath (the ``golden`` extra, not a qstar dependency); the tests only
 read the JSON:
 
@@ -33,6 +42,13 @@ mp.mp.dps = 50
 DIGITS = 40
 HERE = Path(__file__).resolve().parent
 GRID = (0.05, 5.0, 199)
+RING = {
+    "vertices": [{"id": "a", "strength": 0.3}, {"id": "b", "strength": -0.7}],
+    "lines": [{"vertex": "a", "U": 0.0}, {"vertex": "b", "U": 0.5}, {"vertex": "b", "U": 3.0}],
+    "edges": [{"from": "a", "to": "b", "d": 0.4, "phi": 0.2},
+              {"from": "a", "to": "b", "d": 0.9, "phi": 0.0}],
+}
+RING_ENERGY = 2.0
 
 
 def wave_matching_smatrix(graph, energy):
@@ -99,6 +115,11 @@ def main():
     out = HERE / "chain_reference.json"
     out.write_text(json.dumps({"digits": DIGITS, "config": "chain_v5delta_n4.json",
                                "rows": rows}, indent=2) + "\n")
+    S = [[[mp.nstr(x.real, DIGITS), mp.nstr(x.imag, DIGITS)] for x in row]
+         for row in wave_matching_smatrix(RING, RING_ENERGY)]
+    out = HERE / "ring_reference.json"
+    out.write_text(json.dumps({"digits": DIGITS, "golden": "graph_E_closed_channel.json",
+                               "graph": RING, "energy": RING_ENERGY, "S": S}, indent=2) + "\n")
 
 
 if __name__ == "__main__":
