@@ -11,8 +11,13 @@ the working directory while the jobs run. OUT gets one JSON row per job:
 ``[workload, seed, argv, exit code, stdout, stderr]``, with ``SRC`` in any
 output written as ``<SRC>``.
 
-``compare`` prints the row count of two such files and the argv of the
-first rows that differ, and exits 1 on any difference, 0 otherwise.
+``compare`` prints the row count of two such files, the argv of the first
+rows that differ, the number of differing rows by workload, and the largest
+relative change |a - b| / max(|a|, |b|) and the largest absolute change
+|a - b| among the numeric fields of their stdout (CSV cells or JSON
+numbers), each with the row where it occurs; near 0 the relative change
+says little. A differing row whose exit code, stderr or non-numeric stdout
+differs is counted as such. It exits 1 on any difference, 0 otherwise.
 
 It reads ``perfbench/`` and writes nothing there. Pytest does not collect
 it; ``test_fixture_scripts.py`` byte-compiles it.
@@ -25,7 +30,9 @@ import io
 import json
 import os
 import sys
+import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -68,13 +75,75 @@ def record(src: str, out: str, seeds: list[int]) -> int:
     return 0
 
 
+def _fields(text: str) -> list:
+    """The stdout of a job as a list of numbers and strings: the leaves and
+    keys of a JSON document, or else the comma-separated cells of its
+    lines, with cells that parse as floats taken as numbers."""
+    try:
+        return list(_leaves(json.loads(text)))
+    except ValueError:
+        return [_cell(c) for line in text.splitlines() for c in line.split(",")]
+
+
+def _leaves(item):
+    if isinstance(item, dict):
+        for key, value in item.items():
+            yield key
+            yield from _leaves(value)
+    elif isinstance(item, list):
+        for value in item:
+            yield from _leaves(value)
+    elif isinstance(item, (int, float)) and not isinstance(item, bool):
+        yield float(item)
+    else:
+        yield json.dumps(item)
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def _changes(row_a, row_b) -> tuple[float, float] | None:
+    """Largest relative and largest absolute change between the numeric
+    fields of two rows, or None when anything else differs (exit code,
+    stderr, a string field or the number of fields)."""
+    fields_a, fields_b = _fields(row_a[4]), _fields(row_b[4])
+    if row_a[3::2] != row_b[3::2] or len(fields_a) != len(fields_b):
+        return None
+    relative = absolute = 0.0
+    for x, y in zip(fields_a, fields_b):
+        if isinstance(x, str) or isinstance(y, str):
+            if x != y:
+                return None
+        elif x != y and not (math.isnan(x) and math.isnan(y)):
+            delta = abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+            relative = max(relative, delta / max(abs(x), abs(y)) if delta < math.inf else delta)
+            absolute = max(absolute, delta)
+    return relative, absolute
+
+
 def compare(a: str, b: str) -> int:
     rows_a, rows_b = (json.loads(Path(p).read_text()) for p in (a, b))
     print(f"rows: {len(rows_a)} and {len(rows_b)}")
-    differ = [ra for ra, rb in zip(rows_a, rows_b) if ra != rb]
-    for row in differ[:SHOWN]:
+    differ = [(ra, rb) for ra, rb in zip(rows_a, rows_b) if ra != rb]
+    for row, _ in differ[:SHOWN]:
         print("differs:", row[0], row[1], " ".join(row[2]))
     print(f"{len(differ)} differing rows")
+    by_workload = Counter(row[0] for row, _ in differ)
+    for name, count in by_workload.items():
+        print(f"  {name}: {count}")
+    changes = [(_changes(ra, rb), ra) for ra, rb in differ]
+    numeric = [(change, row) for change, row in changes if change is not None]
+    for i, kind in enumerate(("relative", "absolute")):
+        if numeric:
+            change, row = max(numeric, key=lambda item: item[0][i])
+            print(f"largest {kind} change in a numeric field: {change[i]:.3g} "
+                  f"({row[0]} {row[1]} {' '.join(row[2])})")
+    if len(numeric) < len(changes):
+        print(f"{len(changes) - len(numeric)} differing rows differ in more than numeric fields")
     return int(bool(differ) or len(rows_a) != len(rows_b))
 
 
