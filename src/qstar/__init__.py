@@ -2,8 +2,8 @@
 
 Core surface:
 
-- :mod:`qstar.numerics` — complex linear solves by partial-pivot
-  elimination, adaptive quadrature, root finding.
+- :mod:`qstar.numerics` — complex linear solves by Gauss-Jordan
+  elimination with partial pivoting, adaptive quadrature, root finding.
 - :mod:`qstar.vertex` — boundary conditions (scale-invariant block forms,
   delta couplings), validation, JSON (de)serialization.
 - :mod:`qstar.scattering` — the S-matrix engine with evanescent-channel

@@ -1,4 +1,4 @@
-"""Numerical kernels: small dense complex solves by partial-pivot
+"""Numerical kernels: small dense complex solves by Gauss-Jordan
 elimination, adaptive Gauss-Kronrod quadrature that splits at breakpoints
 and maps out square-root cusps at them, and bracketed root finding.
 """
@@ -36,20 +36,22 @@ QUAD_REL_TOL = 1e-10
 
 
 def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for square complex ``a`` by Gaussian elimination
-    with partial pivoting by modulus.
+    """Solve ``a @ x = b`` for square complex ``a`` by Gauss-Jordan
+    elimination with partial pivoting by modulus: each column pivots on the
+    largest entry among the rows not yet used, no rows are swapped, and x
+    is read from the pivot rows in column order.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
     result has the same shape. ``a`` and ``b`` are copied, never modified.
     Raises SingularMatrixError when a pivot falls below ``PIVOT_FLOOR``
     times the largest entry of ``a``.
     """
-    a = np.array(a, dtype=np.complex128, order="C")
+    a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(f"expected square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    b = np.array(b, dtype=np.complex128, order="C")
+    b = np.asarray(b, dtype=np.complex128)
     vector = b.ndim == 1
     if vector:
         b = b.reshape(-1, 1)
@@ -60,25 +62,26 @@ def solve_linear(a, b) -> np.ndarray:
     if not np.isfinite(b).all():
         raise ValueError("right-hand side entries must be finite")
     n = a.shape[0]
-    floor = PIVOT_FLOOR * np.abs(a).max()
+    floor = PIVOT_FLOOR * float(np.abs(a).max())
+    m = np.concatenate((a, b), axis=1)
+    free = np.ones(n)
+    rows = []
     for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        best = abs(a[p, k])
+        column = m[:, k]
+        modulus = np.abs(column) * free
+        p = int(modulus.argmax())
+        best = float(modulus[p])
         if best < floor or best == 0.0:
             raise SingularMatrixError(
                 f"pivot {best:.3e} below floor {floor:.3e} at column {k}",
-                pivot=float(best), floor=float(floor), column=k,
+                pivot=best, floor=floor, column=k,
             )
-        if p != k:
-            a[[k, p], k:] = a[[p, k], k:]
-            b[[k, p]] = b[[p, k]]
-        lam = a[k + 1 :, k] / a[k, k]
-        if lam.size:
-            a[k + 1 :, k + 1 :] -= lam[:, None] * a[k, k + 1 :]
-            b[k + 1 :] -= lam[:, None] * b[k]
-    for k in range(n - 1, -1, -1):
-        b[k] = (b[k] - a[k, k + 1 :] @ b[k + 1 :]) / a[k, k]
-    return b[:, 0] if vector else b
+        pivot_row = m[p, k + 1 :] / column[p]
+        m[:, k + 1 :] -= column[:, None] * pivot_row
+        m[p, k + 1 :] = pivot_row
+        free[p] = 0.0
+        rows.append(p)
+    return m[rows, n] if vector else m[rows, n:]
 
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15; Piessens et al., 1983):

@@ -41,20 +41,44 @@ class TestSolveLinear:
             assert np.abs(x - np.eye(n)).max() < 1e-12
 
     def test_residual_contract(self):
+        # Orders 1..30 with up to n right-hand sides; couplings solve n x n.
         rng = rng_for("solve-residual")
-        for _ in range(50):
-            n = int(rng.integers(1, 9))
-            m = int(rng.integers(1, 4))
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            a += 2 * n * np.eye(n)  # keep it well conditioned
-            b = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-            x = solve_linear(a, b)
-            resid = np.abs(a @ x - b).max()
-            assert resid <= 1e-12 * max(1.0, np.abs(b).max())
+        for n in range(1, 31):
+            for m in {1, n, int(rng.integers(1, n + 1))}:
+                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                a += 2 * n * np.eye(n)  # keep it well conditioned
+                b = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+                x = solve_linear(a, b)
+                resid = np.abs(a @ x - b).max()
+                assert resid <= 1e-12 * max(1.0, np.abs(b).max()), (n, m)
+
+    def test_row_graded_matrix_needs_the_pivot_order(self):
+        # a = D a0 with rows graded by 2^-5 and a0 of tiny diagonal: a has
+        # condition ~1e11, yet partial pivoting recovers x to the accuracy
+        # of a0 (condition ~30). Pivots taken down the diagonal lose about
+        # 1e-7 here, and a pivot row used twice loses everything.
+        rng = rng_for("solve-graded")
+        n = 8
+        a0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a0[np.diag_indices(n)] *= 1e-9
+        grade = 2.0 ** (-5 * np.arange(n))[:, None]
+        x = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        got = solve_linear(grade * a0, grade * (a0 @ x))
+        assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2))
+
+    def test_singular_at_a_later_column_names_it(self):
+        # Columns 0 and 1 pivot on 1; column 2 is left with 2^-50, exactly.
+        tiny = 2.0**-50
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + tiny]])
+        with pytest.raises(SingularMatrixError) as info:
+            solve_linear(a, np.eye(3))
+        err = info.value
+        assert (err.column, err.pivot, err.floor) == (2, tiny, numerics.PIVOT_FLOOR * (1 + tiny))
+        assert str(err) == f"pivot {tiny:.3e} below floor {err.floor:.3e} at column 2"
 
     def test_tiny_pivot_raises(self):
         a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
