@@ -139,20 +139,35 @@ class CompoundGraph:
 
     @functools.cached_property
     def _layout(self):
-        """Edge ends, lengths and phases, vertex strengths, line vertices and
-        I_n for :func:`compound_smatrix`; not a field, so == and hash skip it."""
+        """Edge ends, lengths and phases, vertex strengths, line vertices, I_n,
+        the unsplit :func:`_flat_index`, line potentials and the longest edge
+        for :func:`compound_smatrix`; not a field, so == and hash skip it."""
         index = {v.id: i for i, v in enumerate(self.vertices)}
         ends = np.array([(index[e.src], index[e.dst]) for e in self.edges], dtype=np.intp)
-        return (*ends.reshape(-1, 2).T, np.array([e.length for e in self.edges]),
+        src, dst = ends.reshape(-1, 2).T
+        at = np.array([index[line.vertex] for line in self.lines], dtype=np.intp)
+        nv = len(self.vertices)
+        return (src, dst, np.array([e.length for e in self.edges]),
                 np.array([e.phase for e in self.edges]),
-                np.array([v.strength for v in self.vertices]),
-                np.array([index[line.vertex] for line in self.lines]), np.eye(self.n_lines))
+                np.array([v.strength for v in self.vertices]), at, np.eye(self.n_lines),
+                _flat_index(src, dst, nv, nv, at), tuple(line.U for line in self.lines),
+                max(self.edges, key=lambda e: e.length, default=None))
 
 
 #: Edges with kl above this and |sin kl| < 1/2 get one free vertex, at the
 #: midpoint or a quarter wave off it, so a system has at most V + E unknowns
 #: (module docstring).
 _HALF_PI = 0.5 * math.pi
+
+
+def _flat_index(src, dst, size, n_vertices, at):
+    """Flat indices into the size x size system of the terms that
+    :func:`compound_smatrix` adds, in its order: across each edge (src, dst)
+    and (dst, src), on its ends (src, src) and (dst, dst), the vertex
+    strengths, then the leads."""
+    diag = size + 1
+    return np.concatenate((src * size + dst, dst * size + src, src * diag, dst * diag,
+                           np.arange(n_vertices) * diag, at * diag))
 
 
 def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
@@ -162,49 +177,49 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     momentum k_j = sqrt(E - U_j) on the principal branch. The vertex
     admittance system of the module docstring, with one unknown per vertex
     and per free vertex that splits an edge near sin(kl) = 0 (at most one
-    per edge, so at most V + E unknowns), is solved for all incoming lines
-    at once. Raises SingularSystemError, with the solver's pivot,
-    floor and column, at a discrete resonance of the finite structure.
+    per edge, so at most V + E unknowns), is assembled by one scatter-add
+    and solved for all incoming lines at once. Raises SingularSystemError,
+    with the solver's pivot, floor and column, at a discrete resonance.
     """
     n = graph.n_lines
     if n < 2:
         raise InvalidParameterError("need at least two external lines")
-    channels = ChannelSet(n, tuple(line.U for line in graph.lines), float(energy))
-    k = float(np.sqrt(channels.energy))
+    src, dst, lengths, phases, strengths, at, eye, flat, potentials, longest = graph._layout
+    channels = ChannelSet(n, potentials, float(energy))
+    k = math.sqrt(channels.energy)
     k_lines = channels.momenta()
     sqrt_k = np.sqrt(k_lines)
 
-    src, dst, lengths, phases, strengths, at, eye = graph._layout
-    if lengths.size and math.isinf(k * float(lengths.max())):
-        edge = graph.edges[int(lengths.argmax())]
-        raise InvalidParameterError(f"edge {edge.src!r}-{edge.dst!r}: phase k*d "
+    if longest is not None and math.isinf(k * longest.length):
+        raise InvalidParameterError(f"edge {longest.src!r}-{longest.dst!r}: phase k*d "
                                     f"overflows at energy {energy!r}")
     kls = k * lengths
     sin_kl, cos_kl = np.sin(kls), np.cos(kls)
-    split = np.flatnonzero((kls > _HALF_PI) & (np.abs(sin_kl) < 0.5))
+    near = (kls > _HALF_PI) & (np.abs(sin_kl) < 0.5)
+    split = np.flatnonzero(near)
+    size = len(strengths) + split.size
     if split.size:
         # Edge i becomes the pieces (src_i, m) and (m, dst_i), the free
         # vertices m numbered after the graph's in edge order.
         h = 0.5 * kls[split]
         s, c = (np.array([f(x) for x in h.tolist()]) for f in (math.sin, math.cos))
         odd = np.abs(s) >= np.abs(c)
-        sin_kl[split], cos_kl[split] = np.where(odd, s, -c), np.where(odd, c, s)
-        after, mids = split + 1, len(strengths) + np.arange(split.size)
-        sin_kl = np.insert(sin_kl, after, np.where(odd, s, c))
-        cos_kl = np.insert(cos_kl, after, np.where(odd, c, -s))
-        src, dst = np.insert(src, after, mids), np.insert(dst, split, mids)
-        phases = np.insert(phases, after, 0.0)
+        pieces = np.repeat(np.arange(near.size), 1 + near)
+        src, dst, phases, sin_kl, cos_kl = (x[pieces] for x in (src, dst, phases, sin_kl, cos_kl))
+        rank = np.arange(split.size)
+        first, second, mids = split + rank, split + rank + 1, len(strengths) + rank
+        dst[first], src[second], phases[second] = mids, mids, 0.0
+        sin_kl[first], sin_kl[second] = np.where(odd, s, -c), np.where(odd, s, c)
+        cos_kl[first], cos_kl[second] = np.where(odd, c, s), np.where(odd, c, -s)
+        flat = _flat_index(src, dst, size, len(strengths), at)
 
-    size = len(strengths) + split.size
-    lhs = np.zeros((size, size), dtype=np.complex128)
     y = k / sin_kl
     across = y * np.exp(-1j * phases)
-    np.add.at(lhs, (src, dst), across)
-    np.add.at(lhs, (dst, src), across.conj())
-    np.add.at(lhs, (src, src), -y * cos_kl)
-    np.add.at(lhs, (dst, dst), -y * cos_kl)
-    lhs[np.diag_indices(len(strengths))] -= strengths
-    np.add.at(lhs, (at, at), 1j * k_lines)
+    on_site = -y * cos_kl
+    lhs = np.zeros((size, size), dtype=np.complex128)
+    # -(strengths + 0j) adds -0.0 to Im, which leaves it as -= strengths would.
+    np.add.at(lhs.reshape(-1), flat, np.concatenate(
+        (across, across.conj(), on_site, on_site, -(strengths + 0j), 1j * k_lines)))
     rhs = np.zeros((size, n), dtype=np.complex128)
     rhs[at, range(n)] = 2j * sqrt_k
 

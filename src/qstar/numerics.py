@@ -38,8 +38,10 @@ QUAD_REL_TOL = 1e-10
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for square complex ``a`` by Gauss-Jordan
     elimination with partial pivoting by modulus: each column pivots on the
-    largest entry among the rows not yet used, no rows are swapped, and x
-    is read from the pivot rows in column order.
+    largest entry among the rows not yet used, no rows are swapped, each
+    update runs over whole rows of ``[a | b]`` (columns already eliminated
+    are never read again), and x is read from the pivot rows in column
+    order.
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
     result has the same shape. ``a`` and ``b`` are copied, never modified.
@@ -64,11 +66,12 @@ def solve_linear(a, b) -> np.ndarray:
     n = a.shape[0]
     floor = PIVOT_FLOOR * float(np.abs(a).max())
     m = np.concatenate((a, b), axis=1)
-    free = np.ones(n)
+    free, modulus = np.ones(n), np.empty(n)
     rows = []
     for k in range(n):
         column = m[:, k]
-        modulus = np.abs(column) * free
+        np.abs(column, out=modulus)
+        modulus *= free
         p = int(modulus.argmax())
         best = float(modulus[p])
         if best < floor or best == 0.0:
@@ -76,9 +79,10 @@ def solve_linear(a, b) -> np.ndarray:
                 f"pivot {best:.3e} below floor {floor:.3e} at column {k}",
                 pivot=best, floor=floor, column=k,
             )
-        pivot_row = m[p, k + 1 :] / column[p]
-        m[:, k + 1 :] -= column[:, None] * pivot_row
-        m[p, k + 1 :] = pivot_row
+        pivot_row = m[p] / column[p]
+        # Keep column first: numpy's complex multiply (FMA) is not bitwise symmetric.
+        m -= column[:, None] * pivot_row
+        m[p] = pivot_row
         free[p] = 0.0
         rows.append(p)
     return m[rows, n] if vector else m[rows, n:]

@@ -22,6 +22,7 @@ the vertex has a bound state or a threshold resonance at E.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,9 +69,9 @@ class ChannelSet:
             raise DimensionMismatchError(
                 f"expected {self.n} potentials, got {len(pots)}"
             )
-        if not all(np.isfinite(pots)):
+        if not all(map(math.isfinite, pots)):
             raise ValueError("potentials must be finite")
-        if not np.isfinite(self.energy):
+        if not math.isfinite(self.energy):
             raise ValueError("energy must be finite")
         if self.energy <= 0:
             raise ValueError(f"energy must be positive, got {self.energy!r}")

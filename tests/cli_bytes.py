@@ -1,15 +1,20 @@
-"""Byte-identity check of the ``qstar`` CLI between two source trees.
+"""Byte-identity check of the ``qstar`` CLI and library jobs between two
+source trees.
 
     python tests/cli_bytes.py record SRC OUT SEED...
     python tests/cli_bytes.py compare A B
 
-``record`` runs every CLI job and CLI probe of each workload in
+``record`` runs every job and probe of each workload in
 ``perfbench/workloads.WORKLOADS``, for each seed, in-process against the
 ``qstar`` package under ``SRC`` (the directory that holds ``qstar/``).
 Graph and boundary-condition files go to a temporary directory, which is
 the working directory while the jobs run. OUT gets one JSON row per job:
 ``[workload, seed, argv, exit code, stdout, stderr]``, with ``SRC`` in any
-output written as ``<SRC>``.
+output written as ``<SRC>``. A library job (``coupling`` or ``flux_lib``)
+runs through perfbench's ``worker.Runner``. Its row has argv ``[kind,
+check, #index in the job list]``, exit code 0 or the failure class, its
+output as ``qstar.vertex.json_text`` (exact float reprs, a complex array
+as [re, im] pairs) for stdout and the failure message for stderr.
 
 ``compare`` prints the row count of two such files, the argv of the first
 rows that differ, the number of differing rows by workload, and the largest
@@ -19,8 +24,8 @@ numbers), each with the row where it occurs; near 0 the relative change
 says little. A differing row whose exit code, stderr or non-numeric stdout
 differs is counted as such. It exits 1 on any difference, 0 otherwise.
 
-It reads ``perfbench/`` and writes nothing there. Pytest does not collect
-it; ``test_fixture_scripts.py`` byte-compiles it.
+It reads ``perfbench/`` and writes nothing there, not even bytecode.
+Pytest does not collect it; ``test_fixture_scripts.py`` byte-compiles it.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 sys.dont_write_bytecode = True
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: Differing rows whose argv ``compare`` prints.
@@ -46,21 +53,39 @@ def record(src: str, out: str, seeds: list[int]) -> int:
     sys.path[:0] = [src, str(PERFBENCH)]
     import qstar.cli
     import workloads
+    from qstar.vertex import json_text
+    from worker import Runner
 
     if not qstar.__file__.startswith(src + os.sep):
         raise SystemExit(f"imported qstar from {qstar.__file__}, not from {src}")
+    runner = Runner(qstar)
+
+    def plain(output):
+        """A library job's output with complex arrays as [re, im] pairs."""
+        if isinstance(output, dict):
+            return {key: plain(value) for key, value in output.items()}
+        if isinstance(output, np.ndarray) and np.iscomplexobj(output):
+            return np.stack((output.real, output.imag), axis=-1)
+        return output
+
     rows = []
     home = os.getcwd()
     for name in workloads.WORKLOADS:
         for seed in seeds:
             spec = workloads.generate(name, seed)
-            jobs = [job for job in spec["jobs"] + spec["probes"] if job["kind"] == "cli"]
+            jobs = spec["jobs"] + spec["probes"]
             with tempfile.TemporaryDirectory() as tmp:
                 for fname, text in spec["files"].items():
                     Path(tmp, fname).write_text(text)
                 os.chdir(tmp)
                 try:
-                    for job in jobs:
+                    for i, job in enumerate(jobs):
+                        if job["kind"] != "cli":
+                            output, cls, msg = runner.run(job, runner.prepare(job))
+                            rows.append([name, seed, [job["kind"], job["check"], f"#{i}"],
+                                         cls or 0, "" if cls else json_text(plain(output)),
+                                         msg or ""])
+                            continue
                         stdout, stderr = io.StringIO(), io.StringIO()
                         with contextlib.redirect_stdout(stdout), \
                                 contextlib.redirect_stderr(stderr):

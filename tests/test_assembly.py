@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -440,6 +441,133 @@ class TestCompoundSmatrix:
         sm = compound_smatrix(graph, 2.0)
         assert sm.channels == ChannelSet(4, (0.0, 0.0, 1.5, 0.5), 2.0)
         assert sm.channels.potentials == tuple(line.U for line in graph.lines)
+
+
+def _scatter_per_term_system(graph, energy):
+    """Oracle: the (lhs, rhs) that ``compound_smatrix`` solves, built by one
+    scatter-add per kind of term, the strengths by ``-=`` on the diagonal
+    and split edges by ``np.insert``."""
+    n = graph.n_lines
+    index = {v.id: i for i, v in enumerate(graph.vertices)}
+    src = np.array([index[e.src] for e in graph.edges], dtype=np.intp)
+    dst = np.array([index[e.dst] for e in graph.edges], dtype=np.intp)
+    lengths = np.array([e.length for e in graph.edges])
+    phases = np.array([e.phase for e in graph.edges])
+    strengths = np.array([v.strength for v in graph.vertices])
+    at = np.array([index[line.vertex] for line in graph.lines])
+    channels = ChannelSet(n, tuple(line.U for line in graph.lines), float(energy))
+    k = float(np.sqrt(channels.energy))
+    k_lines = channels.momenta()
+    kls = k * lengths
+    sin_kl, cos_kl = np.sin(kls), np.cos(kls)
+    split = np.flatnonzero((kls > 0.5 * np.pi) & (np.abs(sin_kl) < 0.5))
+    if split.size:
+        h = 0.5 * kls[split]
+        s, c = (np.array([f(x) for x in h.tolist()]) for f in (math.sin, math.cos))
+        odd = np.abs(s) >= np.abs(c)
+        sin_kl[split], cos_kl[split] = np.where(odd, s, -c), np.where(odd, c, s)
+        after, mids = split + 1, len(strengths) + np.arange(split.size)
+        sin_kl = np.insert(sin_kl, after, np.where(odd, s, c))
+        cos_kl = np.insert(cos_kl, after, np.where(odd, c, -s))
+        src, dst = np.insert(src, after, mids), np.insert(dst, split, mids)
+        phases = np.insert(phases, after, 0.0)
+    size = len(strengths) + split.size
+    lhs = np.zeros((size, size), dtype=np.complex128)
+    y = k / sin_kl
+    across = y * np.exp(-1j * phases)
+    np.add.at(lhs, (src, dst), across)
+    np.add.at(lhs, (dst, src), across.conj())
+    np.add.at(lhs, (src, src), -y * cos_kl)
+    np.add.at(lhs, (dst, dst), -y * cos_kl)
+    lhs[np.diag_indices(len(strengths))] -= strengths
+    np.add.at(lhs, (at, at), 1j * k_lines)
+    rhs = np.zeros((size, n), dtype=np.complex128)
+    rhs[at, range(n)] = 2j * np.sqrt(k_lines)
+    return lhs, rhs
+
+
+def _seeded_graph(rng):
+    """Connected graph of 2 to 7 delta vertices: a path plus extra edges,
+    parallel ones and self-loops among them, and 2 to 4 lines."""
+    nv = int(rng.integers(2, 8))
+    vertices = tuple(GraphVertex(f"g{i}", float(rng.uniform(-2.0, 2.0))) for i in range(nv))
+    pairs = [(i, i + 1) for i in range(nv - 1)]
+    pairs += [tuple(int(v) for v in rng.integers(0, nv, size=2)) for _ in range(rng.integers(0, 4))]
+    edges = tuple(InternalEdge(f"g{i}", f"g{j}", float(rng.uniform(0.3, 2.0)),
+                               float(rng.uniform(-np.pi, np.pi)) * (rng.random() < 0.7))
+                  for i, j in pairs)
+    lines = tuple(ExternalLine(f"g{int(v)}", float(rng.uniform(0.0, 1.5)) * (rng.random() < 0.6))
+                  for v in rng.integers(0, nv, size=int(rng.integers(2, 5))))
+    return CompoundGraph(vertices, lines, edges)
+
+
+class TestAssemblyOracle:
+    """The one scatter-add of ``compound_smatrix`` gives the bits of the
+    system built term by term, signed zeros included."""
+
+    @pytest.fixture
+    def systems(self, monkeypatch):
+        captured = []
+
+        def recorded(lhs, rhs):
+            captured.append((lhs.copy(), rhs.copy()))
+            return solve_linear(lhs, rhs)
+
+        monkeypatch.setattr("qstar.assembly.solve_linear", recorded)
+
+        def check(graph, energies):
+            orders = []
+            for energy in energies:
+                captured.clear()
+                try:
+                    compound_smatrix(graph, float(energy))
+                except SingularSystemError:
+                    pass
+                ((lhs, rhs),) = captured
+                want_lhs, want_rhs = _scatter_per_term_system(graph, float(energy))
+                assert (lhs.shape, rhs.shape) == (want_lhs.shape, want_rhs.shape), energy
+                assert lhs.tobytes() == want_lhs.tobytes(), energy
+                assert rhs.tobytes() == want_rhs.tobytes(), energy
+                orders.append(len(lhs))
+            return orders
+
+        return check
+
+    def test_seeded_graphs_across_edge_splits(self, systems):
+        rng = rng_for("assembly-oracle")
+        splits = set()
+        for _ in range(40):
+            graph = _seeded_graph(rng)
+            orders = systems(graph, np.linspace(0.2, 60.0, 41))
+            splits |= {order - len(graph.vertices) for order in orders}
+        assert {0, 1, 2, 3} <= splits
+
+    @pytest.mark.parametrize("variant", [MAGNETIC, V5_DELTA])
+    def test_recipe_chains(self, systems, variant):
+        for device in (FilterN3(a=1.3, b=2.2, U=1.0), GateN4(a=0.8, U=1.5, V=0.5)):
+            for d in (0.3, 0.01):
+                systems(build_recipe(device, d, variant), np.linspace(0.05, 9.0, 25) / d)
+
+    def test_ring_with_two_lines_on_one_vertex(self, systems):
+        ring = CompoundGraph(
+            (GraphVertex("a", 0.3), GraphVertex("b", -0.7)),
+            (ExternalLine("a"), ExternalLine("b", 0.5), ExternalLine("b", 3.0)),
+            (InternalEdge("a", "b", 0.4, 0.2), InternalEdge("a", "b", 0.9)),
+        )
+        assert max(systems(ring, np.linspace(0.3, 200.0, 60))) == 4
+
+    def test_self_loop(self, systems):
+        graph = CompoundGraph(
+            (GraphVertex("a", 0.7), GraphVertex("b", -1.9)),
+            (ExternalLine("a"), ExternalLine("b", 0.3)),
+            (InternalEdge("a", "a", 1.1, 0.6), InternalEdge("a", "b", 0.5, -0.4)),
+        )
+        assert max(systems(graph, np.linspace(0.3, 80.0, 50))) == 4
+
+    def test_one_vertex_without_edges(self, systems):
+        graph = CompoundGraph((GraphVertex("a", -0.4),),
+                              (ExternalLine("a"), ExternalLine("a", 1.0), ExternalLine("a", 2.0)))
+        assert systems(graph, [0.5, 1.0, 1.5, 4.0]) == [1] * 4
 
 
 class TestConvergence:

@@ -28,10 +28,12 @@ SCRIPTS = sorted(GOLDEN.glob("make_*_reference.py")) + [GOLDEN.parent / "cli_byt
 
 def _fixture_grids():
     """{golden name: k list} of every fixture that follows a CSV golden."""
+    n3 = json.loads((GOLDEN / "n3_reference.json").read_text())
     n4 = json.loads((GOLDEN / "n4_reference.json").read_text())
     chain = json.loads((GOLDEN / "chain_reference.json").read_text())
     grids = {name: [r["k"] for r in entry["rows"]]
              for part in ("goldens", "band") for name, entry in n4[part].items()}
+    grids.update((name, [r["k"] for r in entry["rows"]]) for name, entry in n3["goldens"].items())
     assert chain["config"] == "chain_v5delta_n4.json"
     grids["graph_chain_v5delta_n4.csv"] = [r["k"] for r in chain["rows"]]
     return grids
@@ -56,7 +58,7 @@ def test_scripts_are_found():
 
 
 def test_every_fixture_grid_follows_a_csv_golden():
-    assert len(FIXTURE_GRIDS) == 4 and set(FIXTURE_GRIDS) < set(CSV_GOLDENS)
+    assert len(FIXTURE_GRIDS) == 5 and set(FIXTURE_GRIDS) == set(CSV_GOLDENS)
 
 
 @pytest.mark.parametrize("name", CSV_GOLDENS)

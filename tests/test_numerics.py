@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qstar import (
+    ChannelSet,
     DimensionMismatchError,
     FilterN3,
     NoConvergenceError,
@@ -10,12 +11,14 @@ from qstar import (
     bandwidth,
     find_root,
     integrate,
+    make_delta,
+    make_st_form,
     n3_transmission,
     numerics,
     solve_linear,
 )
 
-from conftest import rng_for
+from conftest import random_channels, rng_for
 
 
 class TestSolveLinear:
@@ -122,6 +125,100 @@ class TestSolveLinear:
             assert np.array_equal(b, b_before)
             assert not np.shares_memory(x, b)
             assert np.abs(a @ x - b).max() < 1e-12
+
+
+def _trailing_block_solve(a, b):
+    """Oracle: the elimination that updated only the columns right of the
+    pivot column, ``m[:, k + 1:]``, with the same pivot rule and floor."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    vector = b.ndim == 1
+    if vector:
+        b = b.reshape(-1, 1)
+    n = a.shape[0]
+    floor = numerics.PIVOT_FLOOR * float(np.abs(a).max())
+    m = np.concatenate((a, b), axis=1)
+    free = np.ones(n)
+    rows = []
+    for k in range(n):
+        column = m[:, k]
+        modulus = np.abs(column) * free
+        p = int(modulus.argmax())
+        best = float(modulus[p])
+        if best < floor or best == 0.0:
+            raise SingularMatrixError("oracle", pivot=best, floor=floor, column=k)
+        pivot_row = m[p, k + 1 :] / column[p]
+        m[:, k + 1 :] -= column[:, None] * pivot_row
+        m[p, k + 1 :] = pivot_row
+        free[p] = 0.0
+        rows.append(p)
+    return m[rows, n] if vector else m[rows, n:]
+
+
+def _coupling_systems(rng):
+    """(A + iBK, 2iBK^1/2) of ST and delta couplings: entries 0 and +-1 in
+    A and B tie in modulus, and a line on its threshold has k = 0."""
+    for _ in range(60):
+        n = int(rng.integers(2, 8))
+        m = int(rng.integers(1, n))
+        t = rng.uniform(-3.0, 3.0, size=(m, n - m))
+        if rng.random() < 0.5:
+            t = rng.integers(-1, 2, size=(m, n - m)).astype(float)
+        for bc in (make_st_form(n, m, t), make_delta(n, float(rng.uniform(-3.0, 3.0)))):
+            ch = random_channels(rng, n)
+            if rng.random() < 0.3:
+                ch = ChannelSet(n, (ch.energy, *ch.potentials[1:]), ch.energy)
+            k = ch.momenta()
+            yield bc.A + bc.B * (1j * k), bc.B * (2j * np.sqrt(k))
+
+
+class TestSolveLinearOracle:
+    """Whole-row updates give the bits of the trailing-block kernel."""
+
+    def _same(self, a, b):
+        try:
+            want = _trailing_block_solve(a, b)
+        except SingularMatrixError as err:
+            with pytest.raises(SingularMatrixError) as info:
+                solve_linear(a, b)
+            got = info.value
+            assert (got.column, got.pivot, got.floor) == (err.column, err.pivot, err.floor)
+            return False
+        got = solve_linear(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        return True
+
+    def test_seeded_systems(self):
+        rng = rng_for("solve-oracle")
+        for n in range(1, 31):
+            for m in {1, n, int(rng.integers(1, n + 1))}:
+                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                b = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+                assert self._same(a, b), (n, m)
+                assert self._same(a, b[:, 0]), n
+
+    def test_coupling_systems_with_modulus_ties(self):
+        rng = rng_for("solve-oracle-couplings")
+        solved = [self._same(a, b) for a, b in _coupling_systems(rng)]
+        assert sum(solved) > 0.9 * len(solved)
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-16]],
+        np.zeros((3, 3)),
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 2.0**-50]],
+        [[2.0, 1j, 3.0], [4.0, 2j, 6.0], [0.5, 1.0, -1.0]],
+    ], ids=["ones", "tiny", "zero", "late-column", "dependent-rows"])
+    def test_singular_inputs_name_the_same_column(self, a):
+        a = np.asarray(a, dtype=np.complex128)
+        assert not self._same(a, np.eye(len(a)))
+
+    def test_singular_coupling_at_threshold(self):
+        # A free line pair at zero kinetic energy.
+        bc, ch = make_delta(2, 0.0), ChannelSet(2, (1.3, 1.3), 1.3)
+        k = ch.momenta()
+        assert not self._same(bc.A + bc.B * (1j * k), bc.B * (2j * np.sqrt(k)))
 
 
 class TestIntegrate:
