@@ -23,7 +23,7 @@ from .devices import (
     n4_transmission,
 )
 from .exceptions import NoBandError, NoPoleError
-from .numerics import find_root, integrate
+from .numerics import find_root, integrate, kronrod_panel
 
 #: Coefficient of the sharp-peak bandwidth estimate, W ~ C U/b^4. The closed
 #: form of :func:`bandwidth` gives W b^4/U = (16a^2 - 4 sqrt(2) a (1 + a^2))
@@ -194,7 +194,8 @@ class FluxCurve:
 
 
 def _constant_density_gate_flux(g: GateN4, rho: float, k_F: float) -> tuple[float, float]:
-    """(J_below, J_above) of the V=0 gate for the constant density rho.
+    """(J_below, J_above) of the V=0 gate for the constant density rho,
+    both exact to rounding, with no adaptive quadrature.
 
     With beta = 2a^2 and s = k^2, the transmission below threshold is
     beta^2 U / ((1 + beta)^2 (beta^2 U + (1 - beta^2) s)), so
@@ -202,13 +203,17 @@ def _constant_density_gate_flux(g: GateN4, rho: float, k_F: float) -> tuple[floa
         J_below = (rho U / 2) (beta/(1 + beta))^2 ln(beta^2)/(beta^2 - 1),
 
     exactly linear in U (rho U/8 on the flat gate, beta = 1). Above
-    threshold, w = sqrt(1 - U/k^2) turns rho k P dk into
-    rho U (beta/(1 + beta))^2 w dw / ((1 + w)^2 (1 + beta w)^2), which is
-    smooth on [0, w_F], w_F = sqrt(1 - U/k_F^2), and is integrated to
-    numerics' QUAD_ABS_TOL and QUAD_REL_TOL. (beta/(1 + beta))^2 is
-    ``g.peak_transmission``. Products stand in for powers, so an extreme a
-    overflows to inf instead of raising; both parts then tend to 0 as
-    ln(beta)/beta^2, and J_below is 0 once beta^2 overflows.
+    threshold, w = sqrt(1 - U/k^2) and then t = w/(1 + w) turn rho k P dk
+    into rho U (beta/(1 + beta))^2 t(1 - t) dt / (1 + delta t)^2 with
+    delta = beta - 1, on [0, T], T = w_F/(1 + w_F) < 1/2. Its
+    antiderivative [(delta + 2) log1p(x) - x - (delta + 1) x/(1 + x)]/delta^3,
+    x = delta T, is used for |x| > 1; for |x| <= 1 it would cancel as
+    1/(delta^2 T), and one 15-point Kronrod panel on [0, T] is exact to
+    rounding instead, since the pole t = -1/delta lies at least T beyond
+    it. (beta/(1 + beta))^2 is ``g.peak_transmission``. Products stand in
+    for powers, so an extreme a overflows to inf instead of raising; both
+    parts then tend to 0 as ln(beta)/beta^2, and J_below is 0 once beta^2
+    overflows.
     """
     beta = 2.0 * g.a * g.a
     rho_peak = rho * g.peak_transmission
@@ -223,14 +228,17 @@ def _constant_density_gate_flux(g: GateN4, rho: float, k_F: float) -> tuple[floa
     else:  # ln(beta^2)/beta^2 underflows; ln(inf)/inf would be nan
         log_ratio = 0.0
     below = 0.5 * rho_peak * log_ratio * g.U  # U last: linear up to one rounding
-
-    def tail(w: float) -> float:
-        d = (1.0 + w) * (1.0 + beta * w)
-        return scale * w / (d * d)
+    if beta == math.inf:
+        return below, 0.0
 
     k_th = g.threshold
     w_F = math.sqrt((k_F - k_th) * (k_F + k_th)) / k_F
-    return below, integrate(tail, 0.0, w_F)
+    T, delta = w_F / (1.0 + w_F), beta - 1.0
+    x = delta * T
+    if abs(x) > 1.0:  # cancels by a few ulps at most; underflows before it can overflow
+        tail = (delta + 2.0) / delta * math.log1p(x) - T - (delta + 1.0) * T / (1.0 + x)
+        return below, scale * (tail / delta / delta)
+    return below, scale * kronrod_panel(lambda t: t * (1.0 - t) / (1.0 + delta * t) ** 2, 0.0, T)
 
 
 def _k_quadrature_flux(
@@ -256,10 +264,12 @@ def _k_quadrature_flux(
 def flux_report(g: GateN4, dist: MomentumDistribution, k_F: float) -> FluxReport:
     """Flux through the gate for momenta distributed as ``dist`` up to k_F.
 
-    For V = 0 and a constant density the below-threshold part has a closed
-    form, exactly linear in U and finite for every finite a, and the tail
-    above threshold is one smooth quadrature in w = sqrt(1 - U/k^2). Any
-    other density, and the band mode V > 0, integrate over k, split at the
+    For V = 0 and a constant density both parts are exact to rounding with
+    no adaptive quadrature (see ``_constant_density_gate_flux``): the
+    below-threshold part is exactly linear in U and finite for every finite
+    a, and the tail above threshold is closed form in t = w/(1 + w),
+    w = sqrt(1 - U/k^2). Any other density, and the band mode V > 0,
+    integrate over k to numerics' QUAD_ABS_TOL and QUAD_REL_TOL, split at the
     gate's ``threshold`` sqrt(U) (and at sqrt(V)), where the transmission
     has square-root cusps, and at the knots of a tabulated density, where
     it has kinks. How far the tail bends J(U) away from linear is measured

@@ -20,6 +20,8 @@ from qstar import (
     n3_transmission,
     n4_transmission,
 )
+from qstar import analysis, numerics
+from qstar.cli import main
 
 FLAT_A = 1 / np.sqrt(2)
 #: 40-digit band edges from ``golden/make_bandwidth_reference.py``.
@@ -384,6 +386,63 @@ class TestConstantDensityFlux:
                 x = getattr(fast, part)
                 assert np.isfinite(x) and x >= 0.0
                 assert abs(x - getattr(slow, part)) <= 1e-12
+
+    @pytest.mark.parametrize("a, u, k_f", [
+        (1e-200, 1.0, 4.0),  # beta underflows to 0: delta = -1 and a zero scale
+        (1e-9, 1.0, 4.0),  # beta = 2e-18: delta = -1 exactly, scale > 0
+        # delta = -2^-52 and +2^-52; no double a gives delta = 0 exactly.
+        (FLAT_A, 1.0, 4.0),
+        (float(np.nextafter(FLAT_A, 1.0)), 1.0, 4.0),
+        # k_F one ulp above sqrt(U).
+        (0.9, 1.0, float(np.nextafter(1.0, 2.0))),
+        (1e5, 2.25, float(np.nextafter(1.5, 2.0))),
+    ], ids=["beta-0", "delta-minus-1", "delta-minus-ulp", "delta-plus-ulp",
+            "kF-ulp-above", "kF-ulp-above-large-a"])
+    def test_branch_edges_match_quadrature_over_k(self, a, u, k_f):
+        # Within 1e-12 absolute: the quadrature over k meets no more there.
+        g = GateN4(a=a, U=u)
+        fast = flux_report(g, MomentumDistribution.constant(1.3), k_f)
+        slow = flux_report(g, self._plain(1.3), k_f)
+        for part in ("below_threshold", "above_threshold", "total"):
+            x = getattr(fast, part)
+            assert np.isfinite(x) and x >= 0.0
+            assert abs(x - getattr(slow, part)) <= 1e-12, part
+
+    @pytest.mark.parametrize("a", [1.5, 3.0, 10.0])
+    def test_tail_is_continuous_where_its_evaluation_switches(self, a):
+        # The tail is one Kronrod panel for |x| <= 1 and the antiderivative
+        # beyond, x = (beta - 1) w_F/(1 + w_F). Across adjacent k_F on the two
+        # sides of x = 1 it must grow by rho k P(k) times the step.
+        g = GateN4(a=a, U=1.0)
+        beta = 2.0 * a * a
+
+        def x(k_f):  # as the route forms it, sqrt(U) = 1
+            w = math.sqrt((k_f - 1.0) * (k_f + 1.0)) / k_f
+            return (beta - 1.0) * (w / (1.0 + w))
+
+        w_switch = 1.0 / (beta - 2.0)  # T = 1/(beta - 1)
+        k_in = 1.0 / math.sqrt(1.0 - w_switch * w_switch)
+        while x(k_in) > 1.0:
+            k_in = float(np.nextafter(k_in, 0.0))
+        while x(float(np.nextafter(k_in, 2.0))) <= 1.0:
+            k_in = float(np.nextafter(k_in, 2.0))
+        k_out = float(np.nextafter(k_in, 2.0))
+        j_in, j_out = (flux_report(g, RHO, k).above_threshold for k in (k_in, k_out))
+        step = 0.5 * (k_in * n4_transmission(g, k_in) + k_out * n4_transmission(g, k_out))
+        assert abs(j_out - j_in - step * (k_out - k_in)) <= 2e-15 * j_in
+
+    def test_answers_without_adaptive_quadrature(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("adaptive quadrature on the V = 0 constant-density route")
+
+        monkeypatch.setattr(analysis, "integrate", refuse)
+        monkeypatch.setattr(numerics, "integrate", refuse)
+        assert flux_report(GateN4(a=0.9, U=1.0), RHO, 3.0).above_threshold > 0.0
+        argv = ["report", "flux", "--a", "0.9", "--rho", "1", "--U", "1", "--kF", "3"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--U-grid", "0.25,0.5,1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["curve"]) == 3
 
     @pytest.mark.parametrize("a", [1e155, 1e200, 1e300])
     def test_finite_where_beta_overflows(self, a):
