@@ -32,6 +32,10 @@ REFERENCE = json.loads(
 POLE_REFERENCE = json.loads(
     (Path(__file__).resolve().parent / "golden" / "pole_reference.json").read_text()
 )["poles"]
+#: 40-digit constant-density gate fluxes from ``golden/make_flux_reference.py``.
+FLUX_REFERENCE = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "flux_closed_form.json").read_text()
+)["cases"]
 RHO = MomentumDistribution.constant(1.0)
 
 
@@ -277,16 +281,17 @@ class TestFlux:
     # (gate, density, k_F, total, below, above), the parts as float.hex,
     # frozen bit for bit: the V = 0 constant-density route (flat gate
     # included), tabulated densities and band mode. flux_reports.json
-    # checks the values only to 1e-12.
+    # checks the values only to 1e-12; the four constant-density rows are
+    # also rows of flux_closed_form.json.
     FROZEN = [
         (GateN4(FLAT_A, 1.0), RHO, 4.0,
-         "0x1.29a25cdd6fe22p-3", "0x1.0000000000000p-3", "0x1.4d12e6eb7f114p-6"),
+         "0x1.29a25cdd6fe22p-3", "0x1.0000000000000p-3", "0x1.4d12e6eb7f112p-6"),
         (GateN4(0.9, 0.6), MomentumDistribution.constant(1.7), 2.9,
-         "0x1.1b665a367599fp-3", "0x1.da610402caefep-4", "0x1.71aec1a881103p-6"),
+         "0x1.1b665a367599fp-3", "0x1.da610402caefep-4", "0x1.71aec1a881102p-6"),
         (GateN4(1.3, 2.5), MomentumDistribution.constant(0.5), 3.5,
-         "0x1.bb8f75a161e6ap-4", "0x1.6435f4c5c80a8p-4", "0x1.5d66036e67707p-6"),
+         "0x1.bb8f75a161e6cp-4", "0x1.6435f4c5c80a8p-4", "0x1.5d66036e67712p-6"),
         (GateN4(0.3, 0.25), RHO, 4.4,
-         "0x1.6fdbd1b787812p-7", "0x1.51d27a30eb619p-7", "0x1.e0957869c1f8ep-11"),
+         "0x1.6fdbd1b787812p-7", "0x1.51d27a30eb619p-7", "0x1.e0957869c1f8fp-11"),
         (GateN4(FLAT_A, 1.65),
          MomentumDistribution.tabulated([0.0, 0.16, 2.23, 4.0], [1.0, 1.3, 0.7, 0.2]), 3.5,
          "0x1.04b2d95945eb4p-2", "0x1.cf1b237298b71p-3", "0x1.d25479ff98fb0p-6"),
@@ -430,6 +435,28 @@ class TestConstantDensityFlux:
         j_in, j_out = (flux_report(g, RHO, k).above_threshold for k in (k_in, k_out))
         step = 0.5 * (k_in * n4_transmission(g, k_in) + k_out * n4_transmission(g, k_out))
         assert abs(j_out - j_in - step * (k_out - k_in)) <= 2e-15 * j_in
+
+    @pytest.mark.parametrize(
+        "case", FLUX_REFERENCE, ids=lambda c: f"a={c['a']!r}-U={c['U']!r}-kF={c['k_F']!r}")
+    def test_above_threshold_matches_40_digit_reference(self, case):
+        # The w-quadrature this replaced met only an absolute 1e-12: it was
+        # 1.1e-14, 2.2e-3 and 0.37 relative off at a = 200, 1e3 and 1e5.
+        rep = flux_report(GateN4(a=case["a"], U=case["U"]),
+                          MomentumDistribution.constant(case["rho"]), case["k_F"])
+        want = float(case["above_threshold"])
+        assert abs(rep.above_threshold - want) <= 2e-15 * want
+
+    def test_reference_keeps_its_edge_rows(self):
+        def x(c):
+            k_th = math.sqrt(c["U"])
+            w = math.sqrt((c["k_F"] - k_th) * (c["k_F"] + k_th)) / c["k_F"]
+            return abs(2.0 * c["a"] * c["a"] - 1.0) * w / (1.0 + w)
+
+        assert {200.0, 1e3, 1e5} <= {c["a"] for c in FLUX_REFERENCE}
+        assert any(c["k_F"] <= math.sqrt(c["U"]) * (1 + 1.01e-6) for c in FLUX_REFERENCE)
+        assert any(0.0 < abs(2.0 * c["a"] * c["a"] - 1.0) < 1e-11 for c in FLUX_REFERENCE)
+        assert any(0.95 < x(c) <= 1.0 for c in FLUX_REFERENCE)
+        assert any(1.0 < x(c) < 1.05 for c in FLUX_REFERENCE)
 
     def test_answers_without_adaptive_quadrature(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
