@@ -237,6 +237,8 @@ def _cmd_smatrix(args) -> int:
     else:
         if args.device is None:
             raise UsageError("give either --device or --bc")
+        if args.potentials is not None:
+            raise UsageError("--potentials applies only to --bc")
         device = _device_from_args(args, args.device, "--device")
         bc = device.boundary_condition()
         ch = device.channels(args.k)

@@ -14,6 +14,7 @@ strength term in the Kirchhoff row).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -157,22 +158,42 @@ def _scalar_text(x) -> str:
     return {math.inf: "Infinity", -math.inf: "-Infinity"}.get(x) or float.__repr__(x)
 
 
+#: Array layouts kept by :func:`_array_template`, one per shape and indent
+#: level. Couplings of degree 2..16 and their ``smatrix`` payloads use 45.
+ARRAY_TEMPLATES = 128
+
+
+@functools.lru_cache(maxsize=ARRAY_TEMPLATES)
+def _array_template(shape: tuple[int, ...], level: int) -> str:
+    """The JSON text of an array of ``shape`` at indent ``level`` with each
+    element a ``%s``, in C order. Brackets, commas and whitespace are its
+    only other characters, so element text is never read as a format."""
+    items = ["%s"] * math.prod(shape)
+    for axis in range(len(shape) - 1, -1, -1):  # innermost lists first
+        size, pad = shape[axis], "\n" + "  " * (level + axis + 1)
+        if size == 0:
+            items = ["[]"] * math.prod(shape[:axis])
+        else:
+            items = ["[" + pad + ("," + pad).join(items[i:i + size]) + pad[:-2] + "]"
+                     for i in range(0, len(items), size)]
+    return items[0]
+
+
 def json_text(obj, _level: int = 0) -> str:
     """The one JSON text writer: ``json.dumps(obj, indent=2, sort_keys=True)``
     byte for byte, with numpy scalars written as Python ones, nan as null,
-    and a numpy array as its nested lists, formatted in bulk. Dict keys
-    must be strings."""
+    and a numpy array as its nested lists, substituted in one step into a
+    cached layout. Dict keys must be strings."""
     if isinstance(obj, np.ndarray):
-        fast = obj.dtype == np.float64 and np.isfinite(obj).all()
-        items = list(map(float.__repr__ if fast else _scalar_text, obj.ravel().tolist()))
-        for axis in range(obj.ndim - 1, -1, -1):  # innermost lists first
-            size, pad = obj.shape[axis], "\n" + "  " * (_level + axis + 1)
-            if size == 0:
-                items = ["[]"] * math.prod(obj.shape[:axis])
-            else:
-                items = ["[" + pad + ("," + pad).join(items[i:i + size]) + pad[:-2] + "]"
-                         for i in range(0, len(items), size)]
-        return items[0]
+        values = obj.ravel().tolist()
+        if obj.dtype != np.float64:
+            values = map(_scalar_text, values)
+        else:  # %s writes a float as its repr; only non-finite ones need text
+            finite = np.isfinite(obj)
+            if not finite.all():
+                for i in np.flatnonzero(~finite).tolist():
+                    values[i] = _scalar_text(values[i])
+        return _array_template(obj.shape, _level) % tuple(values)
     if isinstance(obj, dict):
         brackets = "{}"
         items = [encode_basestring_ascii(k) + ": " + json_text(obj[k], _level + 1)

@@ -581,6 +581,16 @@ class TestSmatrix:
         assert (code, out) == (2, "")
         assert err == f"qstar: {message}\n"
 
+    @pytest.mark.parametrize("potentials", ["5,5,5", "garbage"])
+    def test_device_with_potentials_exits_2(self, capsys, potentials):
+        code, out, err = run_cli(
+            ["smatrix", "--device", "n3", "--a", "1", "--b", "3", "--U", "1",
+             "--potentials", potentials, "--k", "2"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert err == "qstar: --potentials applies only to --bc\n"
+
     def test_device_without_a_exits_2(self, capsys):
         code, out, err = run_cli(["smatrix", "--device", "n4", "--k", "1.5"], capsys)
         assert code == 2

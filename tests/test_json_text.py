@@ -126,3 +126,32 @@ def test_bc_json_matches_json_dumps_of_bc_dict():
             assert data["A"] == [[[float(z.real), float(z.imag)] for z in row] for row in bc.A]
             assert data["B"] == [[[float(z.real), float(z.imag)] for z in row] for row in bc.B]
             assert bc_to_json(bc) == json.dumps(data, indent=2, sort_keys=True)
+
+
+def test_array_layouts_are_keyed_by_shape_and_level():
+    rng = rng_for("json_layouts")
+    a, b, c = (rng.standard_normal((2, 3)) for _ in range(3))
+    obj = {"x": a, "y": b, "deeper": {"x": c, "list": [a, (b,)]}, "z": c.T, "flat": a.ravel()}
+    assert json_text(obj) == oracle(obj)
+    assert json_text(obj) == oracle(obj)  # every layout now from the cache
+    assert json_text(a) == oracle(a)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0), (0, 2, 2), (1,), (7,), (4, 5), (2, 3, 4)],
+                         ids=str)
+def test_non_finite_entries_in_float_arrays(shape):
+    rng = rng_for(f"json_non_finite{shape}")
+    for _ in range(20):
+        arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 17)
+        if arr.size:
+            picks = rng.integers(arr.size, size=rng.integers(1, arr.size + 1))
+            arr.flat[picks] = rng.choice([np.nan, np.inf, -np.inf, -0.0], picks.size)
+        for obj in (arr, {"a": arr, "b": [arr]}):
+            assert json_text(obj) == oracle(obj), arr
+
+
+def test_element_text_is_never_read_as_a_format():
+    strings = ["%", "%s", "%r", "%%", "100%", "%(k)s", "%d%%s", "%s%s%s"]
+    arr = np.array(strings + ["plain"], dtype=object).reshape(3, 3)
+    for obj in (arr, arr[0], np.array("%s", dtype=object), {"%s": arr, "%r": [arr[:, 1]]}):
+        assert json_text(obj) == oracle(obj)
