@@ -139,19 +139,23 @@ class CompoundGraph:
 
     @functools.cached_property
     def _layout(self):
-        """Edge ends, lengths and phases, vertex strengths, line vertices, I_n,
-        the unsplit :func:`_flat_index`, line potentials and the longest edge
-        for :func:`compound_smatrix`; not a field, so == and hash skip it."""
+        """Edge ends, lengths and phases, -(strengths + 0j), line vertices,
+        I_n, the flat index of the right-hand side's lead entries, line
+        potentials, the longest edge, and a one-entry list that holds the
+        last :func:`_split_plan` (at first the plan with no split edge) for
+        :func:`compound_smatrix`; not a field, so == and hash skip it."""
         index = {v.id: i for i, v in enumerate(self.vertices)}
         ends = np.array([(index[e.src], index[e.dst]) for e in self.edges], dtype=np.intp)
         src, dst = ends.reshape(-1, 2).T
+        phases = np.array([e.phase for e in self.edges])
         at = np.array([index[line.vertex] for line in self.lines], dtype=np.intp)
-        nv = len(self.vertices)
-        return (src, dst, np.array([e.length for e in self.edges]),
-                np.array([e.phase for e in self.edges]),
-                np.array([v.strength for v in self.vertices]), at, np.eye(self.n_lines),
-                _flat_index(src, dst, nv, nv, at), tuple(line.U for line in self.lines),
-                max(self.edges, key=lambda e: e.length, default=None))
+        n, nv = self.n_lines, len(self.vertices)
+        # -(strengths + 0j) adds -0.0 to Im, which leaves it as -= strengths would.
+        minus_strengths = -(np.array([v.strength for v in self.vertices]) + 0j)
+        return (src, dst, np.array([e.length for e in self.edges]), phases, minus_strengths, at,
+                np.eye(n), at * n + np.arange(n), tuple(line.U for line in self.lines),
+                max(self.edges, key=lambda e: e.length, default=None),
+                [_split_plan(src, dst, phases, nv, at, np.zeros(len(self.edges), bool))])
 
 
 #: Edges with kl above this and |sin kl| < 1/2 get one free vertex, at the
@@ -170,6 +174,25 @@ def _flat_index(src, dst, size, n_vertices, at):
                            np.arange(n_vertices) * diag, at * diag))
 
 
+def _split_plan(src, dst, phases, n_vertices, at, near):
+    """Everything of the system's layout that depends only on which edges
+    are split (``near``): the key ``near.tobytes()``, the split edges, the
+    edge of each piece, the first and second piece of each split edge, the
+    size, the phase factors of the pieces and their :func:`_flat_index`.
+    Edge i becomes the pieces (src_i, m) and (m, dst_i), the free vertices m
+    numbered after the graph's in edge order; the first piece carries the
+    phase."""
+    split = np.flatnonzero(near)
+    pieces = np.repeat(np.arange(near.size), 1 + near)
+    src, dst, phases = src[pieces], dst[pieces], phases[pieces]
+    rank = np.arange(split.size)
+    first, second, mids = split + rank, split + rank + 1, n_vertices + rank
+    dst[first], src[second], phases[second] = mids, mids, 0.0
+    size = n_vertices + split.size
+    return (near.tobytes(), split, pieces, first, second, size, np.exp(-1j * phases),
+            _flat_index(src, dst, size, n_vertices, at))
+
+
 def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     """Exact S-matrix of the compound graph at energy E > 0.
 
@@ -178,13 +201,16 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     admittance system of the module docstring, with one unknown per vertex
     and per free vertex that splits an edge near sin(kl) = 0 (at most one
     per edge, so at most V + E unknowns), is assembled by one scatter-add
-    and solved for all incoming lines at once. Raises SingularSystemError,
-    with the solver's pivot, floor and column, at a discrete resonance.
+    and solved for all incoming lines at once. The layout of the last set
+    of split edges is kept on the graph, so a sweep rebuilds it only where
+    that set changes. Raises SingularSystemError, with the solver's pivot,
+    floor and column, at a discrete resonance.
     """
     n = graph.n_lines
     if n < 2:
         raise InvalidParameterError("need at least two external lines")
-    src, dst, lengths, phases, strengths, at, eye, flat, potentials, longest = graph._layout
+    (src, dst, lengths, phases, minus_strengths, at, eye, rhs_index, potentials, longest,
+     last_plan) = graph._layout
     channels = ChannelSet(n, potentials, float(energy))
     k = math.sqrt(channels.energy)
     k_lines = channels.momenta()
@@ -196,32 +222,28 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     kls = k * lengths
     sin_kl, cos_kl = np.sin(kls), np.cos(kls)
     near = (kls > _HALF_PI) & (np.abs(sin_kl) < 0.5)
-    split = np.flatnonzero(near)
-    size = len(strengths) + split.size
+    # One read and one write of the slot, so a sweep of the same graph in
+    # another thread can cost a rebuild, never a wrong plan.
+    plan = last_plan[0]
+    if plan[0] != near.tobytes():
+        plan = last_plan[0] = _split_plan(src, dst, phases, minus_strengths.size, at, near)
+    _, split, pieces, first, second, size, factors, flat = plan
     if split.size:
-        # Edge i becomes the pieces (src_i, m) and (m, dst_i), the free
-        # vertices m numbered after the graph's in edge order.
         h = 0.5 * kls[split]
         s, c = (np.array([f(x) for x in h.tolist()]) for f in (math.sin, math.cos))
         odd = np.abs(s) >= np.abs(c)
-        pieces = np.repeat(np.arange(near.size), 1 + near)
-        src, dst, phases, sin_kl, cos_kl = (x[pieces] for x in (src, dst, phases, sin_kl, cos_kl))
-        rank = np.arange(split.size)
-        first, second, mids = split + rank, split + rank + 1, len(strengths) + rank
-        dst[first], src[second], phases[second] = mids, mids, 0.0
+        sin_kl, cos_kl = sin_kl[pieces], cos_kl[pieces]
         sin_kl[first], sin_kl[second] = np.where(odd, s, -c), np.where(odd, s, c)
         cos_kl[first], cos_kl[second] = np.where(odd, c, s), np.where(odd, c, -s)
-        flat = _flat_index(src, dst, size, len(strengths), at)
 
     y = k / sin_kl
-    across = y * np.exp(-1j * phases)
+    across = y * factors
     on_site = -y * cos_kl
     lhs = np.zeros((size, size), dtype=np.complex128)
-    # -(strengths + 0j) adds -0.0 to Im, which leaves it as -= strengths would.
     np.add.at(lhs.reshape(-1), flat, np.concatenate(
-        (across, across.conj(), on_site, on_site, -(strengths + 0j), 1j * k_lines)))
+        (across, across.conj(), on_site, on_site, minus_strengths, 1j * k_lines)))
     rhs = np.zeros((size, n), dtype=np.complex128)
-    rhs[at, range(n)] = 2j * sqrt_k
+    rhs.reshape(-1)[rhs_index] = 2j * sqrt_k
 
     try:
         psi = solve_linear(lhs, rhs)

@@ -81,10 +81,11 @@ def _engine_columns(solve, grid: np.ndarray, lines: list[int], incoming: int) ->
     """P[i, incoming] of the S-matrix ``solve(k)``, one row per i in ``lines``
     and one column per k of ``grid``: one engine solve and one probabilities
     call per point."""
-    cols = np.empty((len(lines), len(grid)))
+    rows = np.array(lines)
+    cols = np.empty((len(grid), len(lines)))
     for m, k in enumerate(grid.tolist()):
-        cols[:, m] = scattering.probabilities(solve(k))[lines, incoming]
-    return cols
+        cols[m] = scattering.probabilities(solve(k))[:, incoming][rows]
+    return cols.T
 
 
 def _sweep_columns(device, grid: np.ndarray):

@@ -51,8 +51,6 @@ def solve_linear(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DimensionMismatchError(f"expected square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
     b = np.asarray(b, dtype=np.complex128)
     vector = b.ndim == 1
     if vector:
@@ -61,11 +59,12 @@ def solve_linear(a, b) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side shape {b.shape} incompatible with {a.shape}"
         )
-    if not np.isfinite(b).all():
-        raise ValueError("right-hand side entries must be finite")
+    m = np.concatenate((a, b), axis=1)
+    if not np.isfinite(m).all():
+        operand = "matrix" if not np.isfinite(a).all() else "right-hand side"
+        raise ValueError(f"{operand} entries must be finite")
     n = a.shape[0]
     floor = PIVOT_FLOOR * float(np.abs(a).max())
-    m = np.concatenate((a, b), axis=1)
     free, modulus = np.ones(n), np.empty(n)
     rows = []
     for k in range(n):

@@ -145,9 +145,12 @@ def probabilities(sm: ScatteringMatrix) -> np.ndarray:
     are flagged NaN.
     """
     p = np.abs(sm.S) ** 2
-    open_ = sm.channels.open_mask()
-    p[~open_, :] = 0.0
-    p[:, ~open_] = np.nan
+    ch = sm.channels
+    # open_mask's rule: a line on its threshold is closed.
+    closed = [j for j, u in enumerate(ch.potentials) if not ch.energy > u]
+    if closed:
+        p[closed, :] = 0.0
+        p[:, closed] = np.nan
     return p
 
 

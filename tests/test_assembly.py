@@ -386,6 +386,33 @@ class TestCompoundSmatrix:
         assert set(orders) == {3, 4, 5, 6}
         assert orders[::2] != sorted(orders[::2])
 
+    def test_alternating_split_patterns_match_fresh_graphs(self, monkeypatch):
+        # Edge 0 alone splits at k0, edge 1 alone at k1: two split sets of
+        # one size, so the graph's layout for the last set must follow the
+        # set itself, not its size, each time the energy alternates.
+        orders = []
+
+        def recorded(lhs, rhs):
+            orders.append(len(lhs))
+            return solve_linear(lhs, rhs)
+
+        monkeypatch.setattr("qstar.assembly.solve_linear", recorded)
+        lengths = (1.0, 1.7)
+        graph = CompoundGraph(
+            (GraphVertex("a", 0.7), GraphVertex("b", -1.9), GraphVertex("c", 0.4)),
+            (ExternalLine("a", 0.0), ExternalLine("c", 0.3)),
+            (InternalEdge("a", "b", lengths[0], 0.3), InternalEdge("b", "c", lengths[1], -0.5)),
+        )
+        ks = [(np.pi + 0.2) / d for d in lengths]
+        for i, k in enumerate(ks):
+            kls = k * np.array(lengths)
+            assert list(np.flatnonzero((kls > np.pi / 2) & (np.abs(np.sin(kls)) < 0.5))) == [i]
+        for k in ks * 3:
+            fresh = CompoundGraph(graph.vertices, graph.lines, graph.edges)
+            swept = compound_smatrix(graph, k * k).S
+            assert swept.tobytes() == compound_smatrix(fresh, k * k).S.tobytes(), k
+        assert orders == [4] * 12
+
     @pytest.mark.parametrize("case", LONG_EDGE["cases"],
                              ids=lambda case: f"d{case['d']:g}-{case['parity']}")
     def test_long_edge_matches_reference(self, case):

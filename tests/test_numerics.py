@@ -110,6 +110,8 @@ class TestSolveLinear:
             solve_linear(a, np.ones(2))
         with pytest.raises(ValueError, match="right-hand side entries"):
             solve_linear(np.eye(2), [1.0, np.inf])
+        with pytest.raises(ValueError, match="matrix entries"):
+            solve_linear(a, [np.nan, 1.0])
 
     def test_operands_unchanged(self):
         # Elimination works on copies: the caller's a and b survive, for a

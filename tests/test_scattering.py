@@ -75,10 +75,15 @@ class TestEngineAgainstClosedForms:
         # On E = U_j, k_j = 0: row and column j vanish off the diagonal and
         # S_jj = -1. Column 1 is the closed form's on every line that is
         # open or on its threshold, and P21 is the V = 0 devices' peak.
-        S = smatrix(device.boundary_condition(), device.channels(k)).S
-        j = line - 1
+        sm = smatrix(device.boundary_condition(), device.channels(k))
+        S, j = sm.S, line - 1
         assert S[j, j] == -1.0
         assert not np.delete(S[j], j).any() and not np.delete(S[:, j], j).any()
+        # A line on its threshold counts as closed: no flux goes into it,
+        # and its incoming column is flagged, as every closed line's is.
+        p = probabilities(sm)
+        closed = k * k <= np.array(device.potentials)
+        assert closed[j] and not p[j, ~closed].any() and np.isnan(p[:, closed]).all()
         amplitudes = n3_amplitudes if isinstance(device, FilterN3) else n4_amplitudes
         want = np.array(amplitudes(device, k))
         reached = k * k >= np.array(device.potentials)
