@@ -133,7 +133,7 @@ def smatrix(bc: BoundaryCondition, ch: ChannelSet) -> ScatteringMatrix:
     except SingularMatrixError as exc:
         raise SingularSystemError(ch.energy, exc) from exc
     s *= sqrt_k[:, None]
-    s.reshape(-1)[:: ch.n + 1] -= 1.0  # s is C-contiguous: a view
+    s.flat[:: ch.n + 1] -= 1.0  # in logical order, whatever the layout
     return ScatteringMatrix(s, ch)
 
 

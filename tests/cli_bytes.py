@@ -9,8 +9,9 @@ source trees.
 ``qstar`` package under ``SRC`` (the directory that holds ``qstar/``).
 Graph and boundary-condition files go to a temporary directory, which is
 the working directory while the jobs run. OUT gets one JSON row per job:
-``[workload, seed, argv, exit code, stdout, stderr]``, with ``SRC`` in any
-output written as ``<SRC>``. A library job (``coupling`` or ``flux_lib``)
+``[workload, seed, argv, exit code, stdout, stderr, part]``, with ``SRC``
+in any output written as ``<SRC>`` and part ``"job"`` for a timed job or
+``"probe"`` for a defect probe. A library job (``coupling`` or ``flux_lib``)
 runs through perfbench's ``worker.Runner``. Its row has argv ``[kind,
 check, #index in the job list]``, exit code 0 or the failure class, its
 output as ``qstar.vertex.json_text`` (exact float reprs, a complex array
@@ -21,8 +22,10 @@ rows that differ, the number of differing rows by workload, and the largest
 relative change |a - b| / max(|a|, |b|) and the largest absolute change
 |a - b| among the numeric fields of their stdout (CSV cells or JSON
 numbers), each with the row where it occurs; near 0 the relative change
-says little. A differing row whose exit code, stderr or non-numeric stdout
-differs is counted as such. It exits 1 on any difference, 0 otherwise.
+says little. It then prints, per workload, the largest absolute change
+among timed jobs and among probes apart, so that one ill-conditioned probe
+does not hide what the timed jobs did. A differing row whose exit code,
+stderr or non-numeric stdout differs is counted as such. It exits 1 on any difference, 0 otherwise.
 
 It reads ``perfbench/`` and writes nothing there, not even bytecode.
 Pytest does not collect it; ``test_fixture_scripts.py`` byte-compiles it.
@@ -73,18 +76,19 @@ def record(src: str, out: str, seeds: list[int]) -> int:
     for name in workloads.WORKLOADS:
         for seed in seeds:
             spec = workloads.generate(name, seed)
-            jobs = spec["jobs"] + spec["probes"]
+            jobs, timed = spec["jobs"] + spec["probes"], len(spec["jobs"])
             with tempfile.TemporaryDirectory() as tmp:
                 for fname, text in spec["files"].items():
                     Path(tmp, fname).write_text(text)
                 os.chdir(tmp)
                 try:
                     for i, job in enumerate(jobs):
+                        part = "job" if i < timed else "probe"
                         if job["kind"] != "cli":
                             output, cls, msg = runner.run(job, runner.prepare(job))
                             rows.append([name, seed, [job["kind"], job["check"], f"#{i}"],
                                          cls or 0, "" if cls else json_text(plain(output)),
-                                         msg or ""])
+                                         msg or "", part])
                             continue
                         stdout, stderr = io.StringIO(), io.StringIO()
                         with contextlib.redirect_stdout(stdout), \
@@ -92,7 +96,7 @@ def record(src: str, out: str, seeds: list[int]) -> int:
                             code = qstar.cli.main(list(job["argv"]))
                         rows.append([name, seed, job["argv"], code,
                                      *(s.getvalue().replace(src, "<SRC>")
-                                       for s in (stdout, stderr))])
+                                       for s in (stdout, stderr)), part])
                 finally:
                     os.chdir(home)
             print(f"{name} seed {seed}: {len(jobs)} jobs")
@@ -136,7 +140,7 @@ def _changes(row_a, row_b) -> tuple[float, float] | None:
     fields of two rows, or None when anything else differs (exit code,
     stderr, a string field or the number of fields)."""
     fields_a, fields_b = _fields(row_a[4]), _fields(row_b[4])
-    if row_a[3::2] != row_b[3::2] or len(fields_a) != len(fields_b):
+    if (row_a[3], row_a[5]) != (row_b[3], row_b[5]) or len(fields_a) != len(fields_b):
         return None
     relative = absolute = 0.0
     for x, y in zip(fields_a, fields_b):
@@ -169,6 +173,13 @@ def compare(a: str, b: str) -> int:
                   f"({row[0]} {row[1]} {' '.join(row[2])})")
     if len(numeric) < len(changes):
         print(f"{len(changes) - len(numeric)} differing rows differ in more than numeric fields")
+    for name in by_workload:
+        for part in ("job", "probe"):
+            mine = [(change, row) for change, row in numeric if (row[0], row[6]) == (name, part)]
+            if mine:
+                change, row = max(mine, key=lambda item: item[0][1])
+                print(f"  {name} {part}s: largest absolute change {change[1]:.3g} "
+                      f"over {len(mine)} rows ({row[1]} {' '.join(row[2])})")
     return int(bool(differ) or len(rows_a) != len(rows_b))
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,16 +7,21 @@ from qstar import (
     ChannelSet,
     DimensionMismatchError,
     FilterN3,
+    GateN4,
     NoConvergenceError,
     NoSignChangeError,
     SingularMatrixError,
     bandwidth,
+    build_recipe,
+    compound_smatrix,
     find_root,
+    graph_from_json,
     integrate,
     make_delta,
     make_st_form,
     n3_transmission,
     numerics,
+    smatrix,
     solve_linear,
 )
 
@@ -55,11 +62,20 @@ class TestSolveLinear:
                 resid = np.abs(a @ x - b).max()
                 assert resid <= 1e-12 * max(1.0, np.abs(b).max()), (n, m)
 
-    def test_row_graded_matrix_needs_the_pivot_order(self):
+    def test_row_graded_matrix_needs_the_pivot_order(self, monkeypatch):
         # a = D a0 with rows graded by 2^-5 and a0 of tiny diagonal: a has
         # condition ~1e11, yet partial pivoting recovers x to the accuracy
         # of a0 (condition ~30). Pivots taken down the diagonal lose about
-        # 1e-7 here, and a pivot row used twice loses everything.
+        # 1e-7 here, and a pivot row used twice loses everything. The
+        # condition is past solve_linear's guard, so Gauss-Jordan solves it.
+        calls = []
+        kernel = numerics._gauss_jordan
+
+        def counted(a, b):
+            calls.append(len(a))
+            return kernel(a, b)
+
+        monkeypatch.setattr(numerics, "_gauss_jordan", counted)
         rng = rng_for("solve-graded")
         n = 8
         a0 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -68,6 +84,7 @@ class TestSolveLinear:
         x = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
         got = solve_linear(grade * a0, grade * (a0 @ x))
         assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
+        assert calls == [n]
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
@@ -174,19 +191,31 @@ def _coupling_systems(rng):
             yield bc.A + bc.B * (1j * k), bc.B * (2j * np.sqrt(k))
 
 
+def _gauss_jordan(a, b):
+    """numerics._gauss_jordan with solve_linear's operand handling: a
+    vector b gives a vector x."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    x = numerics._gauss_jordan(a, b.reshape(len(a), -1))
+    return x[:, 0] if b.ndim == 1 else x
+
+
 class TestSolveLinearOracle:
-    """Whole-row updates give the bits of the trailing-block kernel."""
+    """The Gauss-Jordan kernel's whole-row updates give the bits of the
+    trailing-block kernel; where it raises, so does solve_linear, with the
+    same pivot, floor and column."""
 
     def _same(self, a, b):
         try:
             want = _trailing_block_solve(a, b)
         except SingularMatrixError as err:
-            with pytest.raises(SingularMatrixError) as info:
-                solve_linear(a, b)
-            got = info.value
-            assert (got.column, got.pivot, got.floor) == (err.column, err.pivot, err.floor)
+            for solve in (_gauss_jordan, solve_linear):
+                with pytest.raises(SingularMatrixError) as info:
+                    solve(a, b)
+                got = info.value
+                assert (got.column, got.pivot, got.floor) == (err.column, err.pivot, err.floor)
             return False
-        got = solve_linear(a, b)
+        got = _gauss_jordan(a, b)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         return True
@@ -221,6 +250,119 @@ class TestSolveLinearOracle:
         bc, ch = make_delta(2, 0.0), ChannelSet(2, (1.3, 1.3), 1.3)
         k = ch.momenta()
         assert not self._same(bc.A + bc.B * (1j * k), bc.B * (2j * np.sqrt(k)))
+
+
+def _near_singular_systems(rng, n, count):
+    """``count`` systems (a, b) of order n, in four kinds taken in turn:
+    rank n - 1 plus noise; row 1 a multiple of row 0 plus noise; entries
+    from {-1, 0, 1} + i{-1, 0, 1}, with modulus ties and the last row the
+    sum of the first two (exactly singular); the last column a combination
+    of the first two plus noise. The noise is 1e-19 to 1e-11 of the
+    largest entry. For n = 2 the ties have no sum row and the last column
+    is a multiple of the first; for n = 1 only the ties are not plain
+    random numbers. Each a is scaled by 10^u, u uniform in [-100, 100]."""
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    kind = np.arange(count) % 4
+    a = np.empty((count, n, n), dtype=np.complex128)
+    for k in range(4):
+        c = int(np.sum(kind == k))
+        if k == 2:
+            ties = rng.integers(-1, 2, size=(c, n, n)) + 1j * rng.integers(-1, 2, size=(c, n, n))
+            if n > 2:
+                ties[:, -1] = ties[:, 0] + ties[:, 1]
+            a[kind == k] = ties
+            continue
+        block = cplx(c, n, n)
+        if k == 0 and n > 1:
+            block = cplx(c, n, n - 1) @ cplx(c, n - 1, n)
+        elif k == 1 and n > 1:
+            block[:, 1] = block[:, 0] * rng.normal(size=(c, 1))
+        elif k == 3 and n > 1:
+            block[:, :, -1] = sum(block[:, :, j] * rng.normal(size=(c, 1))
+                                  for j in range(min(2, n - 1)))
+        if n > 1:
+            noise = 10.0 ** rng.uniform(-19, -11, size=(c, 1, 1)) * cplx(c, n, n)
+            block += noise * np.abs(block).max(axis=(1, 2), keepdims=True)
+        a[kind == k] = block
+    a *= 10.0 ** rng.uniform(-100, 100, size=(count, 1, 1))
+    b = cplx(count, n, 1 + n % 3)
+    return zip(a, b)
+
+
+def _guard_estimate(a):
+    """solve_linear's guard quantity max|a| * max|a^-1| * n^2, with the
+    inverse from LAPACK; inf where LAPACK finds a exactly singular."""
+    n = len(a)
+    try:
+        inverse = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.inf
+    return float(np.abs(a).max() * np.abs(inverse).max() * n * n)
+
+
+class TestSolveLinearDispatch:
+    """solve_linear keeps LAPACK's x only where the Gauss-Jordan pivot floor
+    cannot fire, and leaves every other system to _gauss_jordan."""
+
+    def test_every_gauss_jordan_raise_is_refused_by_the_guard(self):
+        # 50,229 near-singular systems of order 1..24, about 13,300 / n of
+        # order n, so that each order costs about as much elimination:
+        # wherever _gauss_jordan raises, the guard estimate is far above
+        # the guard and solve_linear raises the same pivot, floor and column.
+        rng = rng_for("solve-guard-survey")
+        surveyed, raised, smallest = 0, 0, np.inf
+        for n in range(1, 25):
+            for a, b in _near_singular_systems(rng, n, -(-13_300 // n)):
+                surveyed += 1
+                try:
+                    numerics._gauss_jordan(a, b)
+                    continue
+                except SingularMatrixError as err:
+                    want = (err.pivot, err.floor, err.column)
+                raised += 1
+                smallest = min(smallest, _guard_estimate(a))
+                with pytest.raises(SingularMatrixError) as info:
+                    solve_linear(a, b)
+                got = info.value
+                assert (got.pivot, got.floor, got.column) == want, (n, want)
+        assert surveyed >= 50_000
+        assert raised > 0.3 * surveyed
+        assert smallest >= 1e4 * numerics.LAPACK_GUARD
+
+    @pytest.fixture
+    def no_gauss_jordan(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError(f"Gauss-Jordan fallback on a system of order {len(a)}")
+
+        monkeypatch.setattr(numerics, "_gauss_jordan", refuse)
+
+    def test_band_systems_take_lapack(self, no_gauss_jordan):
+        # The band golden's gate and grid, thresholds k = 0.5 and 1 included.
+        gate = GateN4(0.7071067811865476, U=1.0, V=0.25)
+        bc = gate.boundary_condition()
+        for k in np.linspace(0.05, 5.0, 199):
+            assert smatrix(bc, gate.channels(float(k))).unitarity_defect() < 1e-12
+
+    def test_chain_systems_take_lapack(self, no_gauss_jordan):
+        golden = Path(__file__).resolve().parent / "golden" / "chain_v5delta_n4.json"
+        graphs = [graph_from_json(golden.read_text()),
+                  build_recipe(FilterN3(1.0, 3.0, 1.0), d=1e-3),
+                  build_recipe(GateN4(1.0, U=1.0), d=1e-4, variant="v5-delta")]
+        for graph in graphs:
+            for k in np.linspace(0.05, 5.0, 199):
+                compound_smatrix(graph, float(k) ** 2)
+
+    def test_coupling_systems_take_lapack(self, no_gauss_jordan):
+        rng = rng_for("solve-dispatch-couplings")
+        for _ in range(200):
+            n = int(rng.integers(2, 17))
+            m = int(rng.integers(1, n))
+            t = rng.uniform(-3.0, 3.0, size=(m, n - m)) + 1j * rng.uniform(-3.0, 3.0, size=(m, n - m))
+            for bc in (make_st_form(n, m, t), make_delta(n, float(rng.uniform(-3.0, 3.0)))):
+                sm = smatrix(bc, random_channels(rng, n))
+                assert np.isfinite(sm.S).all()
 
 
 class TestIntegrate:

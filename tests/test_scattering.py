@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qstar import scattering
 from qstar import (
     ChannelSet,
     ClosedIncomingChannelError,
@@ -110,6 +111,32 @@ class TestEngineAgainstClosedForms:
         k = 1.0 + 1e-8
         sm = smatrix(filter_n3.boundary_condition(), filter_n3.channels(k))
         assert abs(abs(sm.S[1, 0]) ** 2 - n3_transmission(filter_n3, k)) < 1e-10
+
+
+    @pytest.mark.parametrize("layout", ["column-slice", "fortran"])
+    def test_diagonal_update_ignores_the_solver_layout(self, monkeypatch, gate_n4, layout):
+        # S = -I + K^1/2 X must not depend on how the solver lays X out: a
+        # reshape of a non-contiguous X is a copy, and an update through it
+        # would be lost.
+        bc, ch = gate_n4.boundary_condition(), gate_n4.channels(1.3)
+        want = smatrix(bc, ch).S
+        solve, returned = scattering.solve_linear, []
+
+        def relaid(a, b):
+            x = solve(a, b)
+            if layout == "fortran":
+                x = np.asfortranarray(x)
+            else:  # the first columns of a wider array, as from [x | y]
+                wide = np.zeros((x.shape[0], 2 * x.shape[1]), dtype=x.dtype)
+                wide[:, : x.shape[1]] = x
+                x = wide[:, : x.shape[1]]
+            returned.append(x)
+            return x
+
+        monkeypatch.setattr(scattering, "solve_linear", relaid)
+        got = smatrix(bc, ch).S
+        assert len(returned) == 1 and not returned[0].flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
 
 
 class TestUnitarityAndSymmetry:
