@@ -2,9 +2,9 @@
 
 Core surface:
 
-- :mod:`qstar.numerics` — complex linear solves by LAPACK, with
-  Gauss-Jordan elimination deciding every system near enough to singular
-  for its pivot floor to fire; adaptive quadrature, root finding.
+- :mod:`qstar.numerics` — complex linear solves by LAPACK, refusing every
+  system whose condition estimate reaches the pivot floor's bound;
+  adaptive quadrature, root finding.
 - :mod:`qstar.vertex` — boundary conditions (scale-invariant block forms,
   delta couplings), validation, JSON (de)serialization.
 - :mod:`qstar.scattering` — the S-matrix engine with evanescent-channel

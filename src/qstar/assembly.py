@@ -203,8 +203,8 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     per edge, so at most V + E unknowns), is assembled by one scatter-add
     and solved for all incoming lines at once. The layout of the last set
     of split edges is kept on the graph, so a sweep rebuilds it only where
-    that set changes. Raises SingularSystemError, with the solver's pivot,
-    floor and column, at a discrete resonance.
+    that set changes. Raises SingularSystemError, with the solver's
+    condition estimate and limit, at a discrete resonance.
     """
     n = graph.n_lines
     if n < 2:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -197,7 +198,9 @@ def _cmd_report_flux(args) -> int:
 
 def _cmd_report_converge(args) -> int:
     target = _device_from_args(args, args.recipe, "--recipe")
-    if args.d0 > 0 and args.halvings >= 0 and args.d0 * 2.0**-args.halvings == 0.0:
+    if not 0 < args.d0 < math.inf:  # before the separations exist
+        raise InvalidParameterError(f"separation d must be positive and finite, got {args.d0!r}")
+    if args.halvings >= 0 and args.d0 * 2.0**-args.halvings == 0.0:
         raise UsageError(f"--d0 {args.d0!r} halved {args.halvings} times is d = 0.0: "
                          "the smallest separation must be a positive float")
     ds = tuple(args.d0 * 2.0**-m for m in range(args.halvings + 1))

@@ -10,14 +10,14 @@ class DimensionMismatchError(QStarError, ValueError):
 
 
 class SingularMatrixError(QStarError, ArithmeticError):
-    """A pivot fell below the singularity floor during elimination;
-    ``pivot``, ``floor`` and ``column`` say where (None when not given)."""
+    """A linear system is singular to working precision: its condition
+    ``estimate`` (inf when exactly singular) is at or above ``limit``
+    (None when not given)."""
 
-    def __init__(self, message, pivot=None, floor=None, column=None):
+    def __init__(self, message, estimate=None, limit=None):
         super().__init__(message)
-        self.pivot = pivot
-        self.floor = floor
-        self.column = column
+        self.estimate = estimate
+        self.limit = limit
 
 
 class NoConvergenceError(QStarError, ArithmeticError):
@@ -57,12 +57,11 @@ class SingularSystemError(SingularMatrixError):
     """The wave-matching system is singular at the requested energy: a
     threshold resonance of a vertex, or a discrete resonance of a finite
     compound graph (a bound state that the leads do not see). ``detail`` is
-    the solver's account of the failed pivot, a SingularMatrixError whose
-    ``pivot``, ``floor`` and ``column`` this error carries next to
-    ``energy`` (None without one)."""
+    the solver's account, a SingularMatrixError whose ``estimate`` and
+    ``limit`` this error carries next to ``energy`` (None without one)."""
 
     def __init__(self, energy, detail=None):
         self.energy = energy
         message = f"wave-matching system singular at E={energy!r}"
         super().__init__(f"{message}: {detail}" if detail else message,
-                         *(getattr(detail, name, None) for name in ("pivot", "floor", "column")))
+                         getattr(detail, "estimate", None), getattr(detail, "limit", None))

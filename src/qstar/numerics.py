@@ -1,8 +1,7 @@
-"""Numerical kernels: small dense complex solves by LAPACK, with a
-Gauss-Jordan elimination that decides every system whose inverse is large
-enough for a pivot to fall below ``PIVOT_FLOOR``; adaptive Gauss-Kronrod
-quadrature that splits at breakpoints and maps out square-root cusps at
-them; and bracketed root finding.
+"""Numerical kernels: small dense complex solves by LAPACK, refused where
+a condition estimate shows that a pivot could fall below ``PIVOT_FLOOR``;
+adaptive Gauss-Kronrod quadrature that splits at breakpoints and maps out
+square-root cusps at them; and bracketed root finding.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ from .exceptions import (
     SingularMatrixError,
 )
 
-#: Pivots below this multiple of the largest entry of ``a`` abort a solve.
+#: :func:`solve_linear` refuses a system of order n whose condition
+#: estimate ``max|a| * max|a^-1| * n^2`` reaches ``sqrt(n) / PIVOT_FLOOR``,
+#: the least estimate of any system on which elimination with partial
+#: pivoting can meet a pivot below this multiple of the largest entry.
 PIVOT_FLOOR = 1e-14
-#: :func:`solve_linear` keeps the LAPACK answer only when
-#: ``max|a| * max|a^-1| * n^2`` is below this; every system on which the
-#: Gauss-Jordan pivot floor fires has at least ``sqrt(n) / PIVOT_FLOOR``.
-LAPACK_GUARD = 1e-5 / PIVOT_FLOOR
 
 #: Iteration budget of :func:`find_root`.
 ROOT_MAX_ITER = 500
@@ -45,17 +43,15 @@ def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for square complex ``a``.
 
     One LAPACK solve (``zgesv``, LU with partial pivoting) of
-    ``a [x | y] = [b | I]`` gives x and the inverse y together. x is kept
-    when ``est = max|a| * max|y| * n^2`` is below ``LAPACK_GUARD``. If
-    :func:`_gauss_jordan` raises at column k, the trailing Schur complement
-    has a column of modulus below ``PIVOT_FLOOR * max|a|``, so
-    ``||a^-1||_2 >= 1 / (sqrt(n) * PIVOT_FLOOR * max|a|)`` and
-    ``est >= sqrt(n) / PIVOT_FLOOR``, 1e5 times the guard (Higham,
-    *Accuracy and Stability of Numerical Algorithms*). Every other
-    system (est at or above the guard, not finite, or exactly singular to
-    LAPACK) is decided and solved by :func:`_gauss_jordan`, so
-    SingularMatrixError is raised on the same systems, with the same
-    pivot, floor and column.
+    ``a [x | y] = [b | I]`` gives x and the inverse y together. x is
+    returned when the condition estimate ``est = max|a| * max|y| * n^2`` is
+    below the limit ``sqrt(n) / PIVOT_FLOOR``; otherwise, and where LAPACK
+    finds ``a`` exactly singular (est = inf), SingularMatrixError is raised
+    with ``estimate`` and ``limit``. Wherever elimination with partial
+    pivoting meets a pivot below ``PIVOT_FLOOR * max|a|``, the trailing
+    Schur complement has a column of that modulus, so
+    ``||a^-1||_2 >= 1 / (sqrt(n) * PIVOT_FLOOR * max|a|)`` and est reaches
+    the limit (Higham, *Accuracy and Stability of Numerical Algorithms*).
 
     ``b`` may be a vector or a matrix of stacked right-hand sides; the
     result has the same shape and is a new C-contiguous array. ``a`` and
@@ -78,48 +74,19 @@ def solve_linear(a, b) -> np.ndarray:
     if not np.isfinite(b).all():
         raise ValueError("right-hand side entries must be finite")
     n, r = b.shape
+    limit = math.sqrt(n) / PIVOT_FLOOR
     try:
         xy = np.linalg.solve(a, np.concatenate((b, np.eye(n)), axis=1))
     except np.linalg.LinAlgError:
-        pass
+        estimate = math.inf
     else:
-        if float(np.abs(a).max()) * float(np.abs(xy[:, r:]).max()) * (n * n) < LAPACK_GUARD:
-            return xy[:, 0].copy() if vector else np.ascontiguousarray(xy[:, :r])
-    x = _gauss_jordan(a, b)
-    return x[:, 0] if vector else x
-
-
-def _gauss_jordan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` for finite complex ``a`` (n x n) and ``b``
-    (n x r) by Gauss-Jordan elimination on a copy ``[a | b]``, with partial
-    pivoting by modulus: each column pivots on the largest entry among the
-    rows not yet used, no rows are swapped, each update runs over whole
-    rows (columns already eliminated are never read again), and x is read
-    from the pivot rows in column order. Raises SingularMatrixError when a
-    pivot falls below ``PIVOT_FLOOR`` times the largest entry of ``a``."""
-    n = a.shape[0]
-    floor = PIVOT_FLOOR * float(np.abs(a).max())
-    m = np.concatenate((a, b), axis=1)
-    free, modulus = np.ones(n), np.empty(n)
-    rows = []
-    for k in range(n):
-        column = m[:, k]
-        np.abs(column, out=modulus)
-        modulus *= free
-        p = int(modulus.argmax())
-        best = float(modulus[p])
-        if best < floor or best == 0.0:
-            raise SingularMatrixError(
-                f"pivot {best:.3e} below floor {floor:.3e} at column {k}",
-                pivot=best, floor=floor, column=k,
-            )
-        pivot_row = m[p] / column[p]
-        # Keep column first: numpy's complex multiply (FMA) is not bitwise symmetric.
-        m -= column[:, None] * pivot_row
-        m[p] = pivot_row
-        free[p] = 0.0
-        rows.append(p)
-    return m[rows, n:]
+        estimate = float(np.abs(a).max()) * float(np.abs(xy[:, r:]).max()) * (n * n)
+    if not estimate < limit:  # also a nan estimate
+        raise SingularMatrixError(
+            f"condition estimate {estimate:.3e} at or above {limit:.3e}",
+            estimate=estimate, limit=limit,
+        )
+    return xy[:, 0].copy() if vector else np.ascontiguousarray(xy[:, :r])
 
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15; Piessens et al., 1983):

@@ -120,8 +120,8 @@ class ScatteringMatrix:
 def smatrix(bc: BoundaryCondition, ch: ChannelSet) -> ScatteringMatrix:
     """Evaluate the S-matrix of ``bc`` for the channels ``ch`` by the
     formula of the module docstring. Raises SingularSystemError, with the
-    energy and the solver's pivot, floor and column, where A + i B K is
-    singular."""
+    energy and the solver's condition estimate and limit, where A + i B K
+    is singular."""
     if bc.n != ch.n:
         raise DimensionMismatchError(
             f"coupling degree {bc.n} != channel count {ch.n}"

@@ -30,7 +30,7 @@ from qstar import (
     smatrix,
 )
 from qstar.assembly import MAGNETIC, V5_DELTA, _open_block_distance
-from qstar.numerics import solve_linear
+from qstar.numerics import PIVOT_FLOOR, solve_linear
 
 from conftest import rng_for
 
@@ -277,8 +277,8 @@ class TestCompoundSmatrix:
             compound_smatrix(_resonant_ring(), np.pi**2)
         assert info.value.energy == np.pi**2
         assert re.fullmatch(
-            rf"wave-matching system singular at E={np.pi**2!r}: pivot \S+ below "
-            r"floor \S+ at column \d+",
+            rf"wave-matching system singular at E={np.pi**2!r}: condition estimate \S+ "
+            r"at or above 2\.000e\+14",
             str(info.value),
         )
         assert str(SingularSystemError(2.0)) == "wave-matching system singular at E=2.0"
@@ -289,11 +289,10 @@ class TestCompoundSmatrix:
                 compound_smatrix(_resonant_ring(), energy)
             err = info.value
             assert err.energy == energy
-            assert isinstance(err.column, int)
-            assert 0.0 <= err.pivot < err.floor
-            assert f"pivot {err.pivot:.3e} below floor {err.floor:.3e} at column {err.column}" in str(err)
+            assert err.estimate >= err.limit == 2.0 / PIVOT_FLOOR  # sqrt(4): order 4
+            assert f"condition estimate {err.estimate:.3e} at or above {err.limit:.3e}" in str(err)
         bare = SingularSystemError(2.0)
-        assert (bare.energy, bare.pivot, bare.floor, bare.column) == (2.0, None, None, None)
+        assert (bare.energy, bare.estimate, bare.limit) == (2.0, None, None)
 
     def test_threshold_resonance_error_carries_attributes(self):
         # The star engine's singular system names its energy as the compound
@@ -302,8 +301,8 @@ class TestCompoundSmatrix:
             smatrix(make_delta(2, 0.0), ChannelSet(2, (1.3, 1.3), 1.3))
         err = info.value
         assert isinstance(err, SingularMatrixError)
-        assert (err.energy, err.pivot, err.column) == (1.3, 0.0, 1)
-        assert str(err).startswith("wave-matching system singular at E=1.3: pivot 0.000e+00")
+        assert (err.energy, err.estimate) == (1.3, np.inf)
+        assert str(err).startswith("wave-matching system singular at E=1.3: condition estimate inf")
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 1001])
     def test_edge_at_a_multiple_of_pi_is_not_a_resonance(self, m):
@@ -668,6 +667,17 @@ class TestSmallSeparation:
         ds = [10.0**-m for m in range(8, 13)]
         errors = convergence_study(target, self.KS, ds, variant).errors
         assert max(errors) < 1e-3, errors
+
+    @pytest.mark.parametrize("variant", [MAGNETIC, V5_DELTA])
+    @pytest.mark.parametrize("target", [FilterN3(1.0, 3.0, 1.0), GateN4(1.0, U=1.0)],
+                             ids=["n3", "n4"])
+    def test_recipe_chains_raise_nothing_down_to_1e_11(self, target, variant):
+        # The condition estimate grows as about 4e6 (1e-4 / d); at d = 1e-12
+        # a few of these points reach the solver's limit.
+        for d in (1e-9, 1e-10, 1e-11):
+            graph = build_recipe(target, d, variant)
+            for k in np.linspace(0.05, 5.0, 100):
+                compound_smatrix(graph, float(k) ** 2)
 
 
 class TestGraphValidation:

@@ -459,6 +459,18 @@ class TestReports:
         assert (code, out) == (2, "")
         assert err == ("qstar: --d0 0.1 halved 100000 times is d = 0.0: "
                        "the smallest separation must be a positive float\n")
+        # A --d0 that is not positive and finite is refused before the
+        # separations are built, whatever --halvings asks for.
+        for d0 in ("nan", "inf", "0", "-0.1"):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                ["report", "converge", "--recipe", "n3", "--a", "1", "--b", "3",
+                 "--d0", d0, "--halvings", "100000"],
+                capsys,
+            )
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (2, "")
+            assert err == f"qstar: config error: separation d must be positive and finite, got {float(d0)!r}\n"
 
     @pytest.mark.parametrize("d0", ["inf", "nan", "0", "-0.1"])
     def test_converge_separation_must_be_positive_and_finite(self, d0, capsys):
@@ -645,7 +657,7 @@ class TestSmatrix:
         )
         assert (code, out) == (3, "")
         assert err == ("qstar: numerical failure: wave-matching system singular at E=1.0: "
-                       "pivot 0.000e+00 below floor 1.000e-14 at column 1\n")
+                       "condition estimate inf at or above 1.414e+14\n")
 
 
 class TestGraph:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qstar import scattering
+from qstar import numerics, scattering
 from qstar import (
     ChannelSet,
     ClosedIncomingChannelError,
@@ -97,9 +97,9 @@ class TestEngineAgainstClosedForms:
         with pytest.raises(SingularSystemError) as info:
             smatrix(make_delta(2, 0.0), ChannelSet(2, (1.0, 1.0), 1.0))
         err = info.value
-        assert (err.energy, err.column, err.pivot) == (1.0, 1, 0.0)
+        assert (err.energy, err.estimate, err.limit) == (1.0, np.inf, np.sqrt(2) / numerics.PIVOT_FLOOR)
         assert str(err) == ("wave-matching system singular at E=1.0: "
-                            "pivot 0.000e+00 below floor 1.000e-14 at column 1")
+                            "condition estimate inf at or above 1.414e+14")
 
     def test_threshold_limit_from_below(self, filter_n3):
         sm = smatrix(filter_n3.boundary_condition(), filter_n3.channels(1.0 - 1e-8))
