@@ -1,17 +1,19 @@
 """Write ``n4_reference.json``: 40-digit probabilities of the three gate goldens.
 
+For every golden the script writes all four columns P21, R11, P31 and
+P41, with 0 on a closed line (E <= U_i).
+
 The two V = 0 goldens are ``sweep_n4_a1_U1.csv`` and
 ``sweep_n4_flat_U1.csv``, swept as ``qstar sweep --device n4 --a A --U 1
---k 0.05:5:200``: 200 momenta from numpy.linspace, for which the script
-writes P21. They come from the closed form, which takes k itself, so the
-energy here is k^2 of the double k, exactly.
+--k 0.05:5:200``: 200 momenta from numpy.linspace. They come from the
+closed form, which takes k itself, so the energy here is k^2 of the double
+k, exactly.
 
 The band golden is ``sweep_n4_band_U1_V025.csv``, swept as ``qstar sweep
 --device n4 --a 0.7071067811865476 --U 1 --V 0.25 --k 0.05:5:199``: 199
 momenta from numpy.linspace, two of them (k = 0.5 and 1) on the thresholds
 sqrt(V) and sqrt(U). It comes from the S-matrix engine, so the energy here
-is the double that qstar forms, float(k) ** 2, and the script writes all
-four columns P21, R11, P31 and P41, with 0 on a closed line (E <= U_i).
+is the double that qstar forms, float(k) ** 2.
 
 At each energy the script evaluates the ST-form S-matrix of the gate's
 block T = [[a, a], [a, -a]] at 50 digits with mpmath,
@@ -45,7 +47,7 @@ U = 1.0
 GOLDENS = {"sweep_n4_a1_U1.csv": 1.0, "sweep_n4_flat_U1.csv": 0.7071067811865476}
 BAND_GRID = (0.05, 5.0, 199)
 BAND = {"sweep_n4_band_U1_V025.csv": (0.7071067811865476, 0.25)}
-BAND_COLUMNS = {"P21": 1, "R11": 0, "P31": 2, "P41": 3}
+COLUMNS = {"P21": 1, "R11": 0, "P31": 2, "P41": 3}
 
 
 def momenta(grid):
@@ -76,29 +78,27 @@ def st_column(a, E, potentials):
     return [S[i, 0] for i in range(4)]
 
 
-def band_rows(a, V):
-    potentials = (0.0, 0.0, U, V)
-    rows = []
-    for k in momenta(BAND_GRID):
-        E = float(k) ** 2
-        s = st_column(a, mp.mpf(E), potentials)
-        p = [abs(x) ** 2 if E > u else mp.mpf(0) for x, u in zip(s, potentials)]
-        row = {"k": k}
-        row.update((name, mp.nstr(p[i], DIGITS)) for name, i in BAND_COLUMNS.items())
-        rows.append(row)
-    return rows
+def probability_row(k, a, E, potentials):
+    """The row of ``COLUMNS`` at momentum k and energy E (an mpf)."""
+    s = st_column(a, E, potentials)
+    p = [abs(x) ** 2 if E > u else mp.mpf(0) for x, u in zip(s, potentials)]
+    row = {"k": k}
+    row.update((name, mp.nstr(p[i], DIGITS)) for name, i in COLUMNS.items())
+    return row
 
 
 def main():
-    goldens = {}
-    for name, a in GOLDENS.items():
-        rows = []
-        for k in momenta(GRID):
-            s21 = st_column(a, mp.mpf(k) ** 2, (0.0, 0.0, U, 0.0))[1]
-            rows.append({"k": k, "P21": mp.nstr(abs(s21) ** 2, DIGITS)})
-        goldens[name] = {"a": a, "U": U, "rows": rows}
-    band = {name: {"a": a, "U": U, "V": V, "rows": band_rows(a, V)}
-            for name, (a, V) in BAND.items()}
+    goldens = {
+        name: {"a": a, "U": U, "rows": [probability_row(k, a, mp.mpf(k) ** 2, (0.0, 0.0, U, 0.0))
+                                        for k in momenta(GRID)]}
+        for name, a in GOLDENS.items()
+    }
+    band = {
+        name: {"a": a, "U": U, "V": V, "rows": [
+            probability_row(k, a, mp.mpf(float(k) ** 2), (0.0, 0.0, U, V))
+            for k in momenta(BAND_GRID)]}
+        for name, (a, V) in BAND.items()
+    }
     out = HERE / "n4_reference.json"
     out.write_text(json.dumps({"digits": DIGITS, "goldens": goldens, "band": band},
                               indent=2) + "\n")
