@@ -11,7 +11,7 @@ bracketed 1-D root find locates the resonance pole without contours.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 
 import numpy as np
@@ -294,13 +294,10 @@ def flux(g: GateN4, dist: MomentumDistribution, k_F: float) -> float:
 
 
 def flux_curve(
-    a: float,
-    dist: MomentumDistribution,
-    k_F: float,
-    potentials,
-    V: float = 0.0,
+    gate: GateN4, dist: MomentumDistribution, k_F: float, potentials
 ) -> FluxCurve:
-    """J(U) sampled over ``potentials`` for a gate with fixed a and V."""
+    """J(U) sampled over ``potentials``: the flux of ``gate`` with its U
+    replaced by each potential in turn, and its a and V kept."""
     us = tuple(float(u) for u in potentials)
-    js = tuple(flux(GateN4(a=a, U=u, V=V), dist, k_F) for u in us)
+    js = tuple(flux(replace(gate, U=u), dist, k_F) for u in us)
     return FluxCurve(potentials=us, fluxes=js)

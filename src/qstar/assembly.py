@@ -55,7 +55,6 @@ import math
 
 import numpy as np
 
-from .devices import FilterN3, GateN4
 from .exceptions import (
     InvalidParameterError,
     SingularMatrixError,
@@ -140,7 +139,7 @@ class CompoundGraph:
     @functools.cached_property
     def _layout(self):
         """Edge ends, lengths and phases, -(strengths + 0j), line vertices,
-        I_n, the flat index of the right-hand side's lead entries, line
+        the flat index of the right-hand side's lead entries, line
         potentials, the longest edge, and a one-entry list that holds the
         last :func:`_split_plan` (at first the plan with no split edge) for
         :func:`compound_smatrix`; not a field, so == and hash skip it."""
@@ -153,7 +152,7 @@ class CompoundGraph:
         # -(strengths + 0j) adds -0.0 to Im, which leaves it as -= strengths would.
         minus_strengths = -(np.array([v.strength for v in self.vertices]) + 0j)
         return (src, dst, np.array([e.length for e in self.edges]), phases, minus_strengths, at,
-                np.eye(n), at * n + np.arange(n), tuple(line.U for line in self.lines),
+                at * n + np.arange(n), tuple(line.U for line in self.lines),
                 max(self.edges, key=lambda e: e.length, default=None),
                 [_split_plan(src, dst, phases, nv, at, np.zeros(len(self.edges), bool))])
 
@@ -209,7 +208,7 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
     n = graph.n_lines
     if n < 2:
         raise InvalidParameterError("need at least two external lines")
-    (src, dst, lengths, phases, minus_strengths, at, eye, rhs_index, potentials, longest,
+    (src, dst, lengths, phases, minus_strengths, at, rhs_index, potentials, longest,
      last_plan) = graph._layout
     channels = ChannelSet(n, potentials, float(energy))
     k = math.sqrt(channels.energy)
@@ -249,7 +248,8 @@ def compound_smatrix(graph: CompoundGraph, energy: float) -> ScatteringMatrix:
         psi = solve_linear(lhs, rhs)
     except SingularMatrixError as exc:
         raise SingularSystemError(float(energy), exc) from exc
-    s = sqrt_k[:, None] * psi[at] - eye
+    s = sqrt_k[:, None] * psi[at]
+    s.flat[:: n + 1] -= 1.0
     return ScatteringMatrix(s, channels)
 
 
@@ -257,9 +257,11 @@ MAGNETIC = "magnetic"
 V5_DELTA = "v5-delta"
 
 
-def build_recipe(target: FilterN3 | GateN4, d: float, variant: str = MAGNETIC) -> CompoundGraph:
+def build_recipe(target, d: float, variant: str = MAGNETIC) -> CompoundGraph:
     """Chain realizing ``target``'s vertex at separation d by the rule of
-    the module docstring; d must be positive and finite."""
+    the module docstring; d must be positive and finite. ``target`` is a
+    device (a ``FilterN3`` or ``GateN4``), of which only ``coupling`` and
+    ``potentials`` are read."""
     if not 0 < d < math.inf:
         raise InvalidParameterError(f"separation d must be positive and finite, got {d!r}")
     if variant not in (MAGNETIC, V5_DELTA):
@@ -334,13 +336,15 @@ def _open_block_distance(s_a: ScatteringMatrix, s_b: ScatteringMatrix) -> float:
 
 
 def convergence_study(
-    target: FilterN3 | GateN4,
+    target,
     k_grid,
     d_sequence,
     variant: str = MAGNETIC,
 ) -> ConvergenceReport:
     """Error eps(d) = max over the momentum grid of the open-block max-abs
-    distance between the chain S-matrix and the device S-matrix."""
+    distance between the chain S-matrix and the device S-matrix. Of
+    ``target`` it reads what :func:`build_recipe` reads, and
+    ``boundary_condition()`` and ``channels(k)``."""
     ks = tuple(float(k) for k in k_grid)
     ds = tuple(float(d) for d in d_sequence)
     if not ks or not ds:

@@ -11,8 +11,8 @@ Output is deterministic: identical invocations produce byte-identical
 files. CSV text comes from one writer, :func:`_csv_table` (float columns
 formatted in bulk to 17 significant digits, CRLF rows); JSON text from
 :func:`vertex.json_text`.
-Exit codes: 0 ok, 2 usage/config error, 3 numerical failure (a qstar
-error or a float overflow).
+Exit codes: 0 ok, 2 usage/config error (a usage error is raised as a
+ValueError), 3 numerical failure (a qstar error or a float overflow).
 """
 
 from __future__ import annotations
@@ -33,15 +33,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-class UsageError(Exception):
-    pass
-
-
 def momentum_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     """Inclusive linear grid of momenta with energies k^2 positive and
     finite (:func:`scattering.momentum_energy`)."""
     if not (lo < hi) or steps < 2:
-        raise UsageError(f"invalid momentum range {lo}:{hi}:{steps}")
+        raise ValueError(f"invalid momentum range {lo}:{hi}:{steps}")
     for k in (lo, hi):
         scattering.momentum_energy(k)
     return np.linspace(lo, hi, steps)
@@ -50,11 +46,11 @@ def momentum_grid(lo: float, hi: float, steps: int) -> np.ndarray:
 def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"expected lo:hi:steps, got {text!r}")
+        raise ValueError(f"expected lo:hi:steps, got {text!r}")
     try:
         return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise UsageError(f"bad momentum range {text!r}: {exc}") from exc
+        raise ValueError(f"bad momentum range {text!r}: {exc}") from exc
 
 
 def _device_from_args(args, kind: str, flag: str) -> devices.FilterN3 | devices.GateN4:
@@ -66,15 +62,15 @@ def _device_from_args(args, kind: str, flag: str) -> devices.FilterN3 | devices.
     U = getattr(args, "U", 1.0)
     V = getattr(args, "V", 0.0)
     if a is None:
-        raise UsageError(f"{flag} requires --a")
+        raise ValueError(f"{flag} requires --a")
     if kind == "n3":
         if b is None:
-            raise UsageError(f"{flag} n3 requires --b")
+            raise ValueError(f"{flag} n3 requires --b")
         if V != 0.0:
-            raise UsageError(f"--V applies only to {flag} n4")
+            raise ValueError(f"--V applies only to {flag} n4")
         return devices.FilterN3(a=a, b=b, U=U)
     if b is not None:
-        raise UsageError(f"--b applies only to {flag} n3")
+        raise ValueError(f"--b applies only to {flag} n3")
     return devices.GateN4(a=a, U=U, V=V)
 
 
@@ -97,7 +93,7 @@ def _sweep_columns(device, grid: np.ndarray):
                                grid, [1, 0, 2, 3], 0)
     k, U = float(grid[0]), max(device.potentials)  # the closed forms need U/k^2 finite
     if np.isinf(U / k**2):
-        raise UsageError(f"momentum {k!r} is too small for the closed-form sweep: "
+        raise ValueError(f"momentum {k!r} is too small for the closed-form sweep: "
                          f"U/k^2 overflows for U = {U!r}")
     amplitudes = (devices.n3_amplitudes if isinstance(device, devices.FilterN3)
                   else devices.n4_amplitudes)
@@ -189,7 +185,7 @@ def _cmd_report_flux(args) -> int:
     }
     if args.U_grid is not None:
         us = [float(u) for u in args.U_grid.split(",")]
-        curve = analysis.flux_curve(args.a, dist, args.kF, us, V=args.V)
+        curve = analysis.flux_curve(gate, dist, args.kF, us)
         payload["curve"] = [[u, j] for u, j in zip(curve.potentials, curve.fluxes)]
         payload["linearity_deviation"] = curve.linearity_deviation()
     _write_json(args.output, payload)
@@ -201,7 +197,7 @@ def _cmd_report_converge(args) -> int:
     if not 0 < args.d0 < math.inf:  # before the separations exist
         raise InvalidParameterError(f"separation d must be positive and finite, got {args.d0!r}")
     if args.halvings >= 0 and args.d0 * 2.0**-args.halvings == 0.0:
-        raise UsageError(f"--d0 {args.d0!r} halved {args.halvings} times is d = 0.0: "
+        raise ValueError(f"--d0 {args.d0!r} halved {args.halvings} times is d = 0.0: "
                          "the smallest separation must be a positive float")
     ds = tuple(args.d0 * 2.0**-m for m in range(args.halvings + 1))
     ks = tuple(float(k) for k in args.k_grid.split(","))
@@ -224,25 +220,25 @@ def _cmd_report_converge(args) -> int:
 def _cmd_smatrix(args) -> int:
     if args.bc is not None:
         if args.device is not None:
-            raise UsageError("give either --device or --bc, not both")
+            raise ValueError("give either --device or --bc, not both")
         given = [f"--{name}" for name in ("a", "b", "U", "V") if name in vars(args)]
         if given:
-            raise UsageError(f"--bc takes no device options: {', '.join(given)}")
+            raise ValueError(f"--bc takes no device options: {', '.join(given)}")
         if args.potentials is None:
-            raise UsageError("--bc requires --potentials u1,u2,...")
+            raise ValueError("--bc requires --potentials u1,u2,...")
         with open(args.bc) as fh:
             bc = vertex.bc_from_json(fh.read())
         if bc.n < 2:
             raise InvalidParameterError(f"--bc coupling needs degree n >= 2, got {bc.n}")
         pots = tuple(float(u) for u in args.potentials.split(","))
         if len(pots) != bc.n:
-            raise UsageError(f"expected {bc.n} potentials, got {len(pots)}")
+            raise ValueError(f"expected {bc.n} potentials, got {len(pots)}")
         ch = scattering.ChannelSet.at_momentum(pots, args.k)
     else:
         if args.device is None:
-            raise UsageError("give either --device or --bc")
+            raise ValueError("give either --device or --bc")
         if args.potentials is not None:
-            raise UsageError("--potentials applies only to --bc")
+            raise ValueError("--potentials applies only to --bc")
         device = _device_from_args(args, args.device, "--device")
         bc = device.boundary_condition()
         ch = device.channels(args.k)
@@ -254,10 +250,10 @@ def _cmd_graph(args) -> int:
     with open(args.config) as fh:
         graph = assembly.graph_from_json(fh.read())
     if (args.E is None) == (args.k is None):
-        raise UsageError("give exactly one of --E or --k")
+        raise ValueError("give exactly one of --E or --k")
     j = args.incoming - 1
     if not 0 <= j < graph.n_lines:
-        raise UsageError(f"incoming line {args.incoming} out of range")
+        raise ValueError(f"incoming line {args.incoming} out of range")
     if args.E is not None:
         payload = _smatrix_payload(assembly.compound_smatrix(graph, args.E))
         payload["config"] = args.config
@@ -375,9 +371,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"qstar: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, json.JSONDecodeError, InvalidParameterError) as exc:
         print(f"qstar: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -119,7 +119,7 @@ def validate(bc: BoundaryCondition) -> VertexDiagnostics:
     defect = float(
         np.abs(bc.A @ bc.B.conj().T - bc.B @ bc.A.conj().T).max()
     )
-    scale = max(np.abs(bc.A).max(), np.abs(bc.B).max(), 1.0)
+    scale = max(float(np.abs(bc.A).max()), float(np.abs(bc.B).max()), 1.0)
     self_adjoint = full_rank and defect <= 1e-12 * scale
 
     scale_invariant = False
@@ -228,11 +228,6 @@ def bc_to_dict(bc: BoundaryCondition) -> dict:
     return {"n": bc.n, "A": _pairs(bc.A).tolist(), "B": _pairs(bc.B).tolist()}
 
 
-class _MalformedShapeError(InvalidParameterError, DimensionMismatchError):
-    """A config matrix of the wrong shape: a config error that callers
-    catching DimensionMismatchError still see as one."""
-
-
 def bc_from_dict(data: dict) -> BoundaryCondition:
     """Inverse of :func:`bc_to_dict`. Raises InvalidParameterError when a
     key or an entry is missing or has the wrong type, shape or value."""
@@ -244,9 +239,7 @@ def bc_from_dict(data: dict) -> BoundaryCondition:
             n, _matrix_from_json(data["A"], n), _matrix_from_json(data["B"], n)
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        shape = isinstance(exc, DimensionMismatchError)
-        error = _MalformedShapeError if shape else InvalidParameterError
-        raise error(f"malformed boundary-condition config: {exc}") from exc
+        raise InvalidParameterError(f"malformed boundary-condition config: {exc}") from exc
 
 
 def bc_to_json(bc: BoundaryCondition) -> str:

@@ -183,7 +183,7 @@ def test_criterion_08_flux_control():
     us = np.linspace(0.25, 2.0, 8)
     js = [flux_report(GateN4(a=FLAT_A, U=float(u)), rho, 4.0).total for u in us]
     monotone = all(b > a for a, b in zip(js, js[1:]))
-    curve = flux_curve(FLAT_A, rho, 4.0, (0.25, 0.5, 0.75, 1.0))
+    curve = flux_curve(GateN4(a=FLAT_A), rho, 4.0, (0.25, 0.5, 0.75, 1.0))
     deviation = curve.linearity_deviation()
     report(
         8,

@@ -239,8 +239,21 @@ class TestFlux:
             assert (j2 - j1) / j1 == pytest.approx(1.0, abs=0.15)
 
     def test_curve_linearity_deviation_small(self):
-        curve = flux_curve(FLAT_A, RHO, 4.0, (0.25, 0.5, 0.75, 1.0))
+        curve = flux_curve(GateN4(a=FLAT_A), RHO, 4.0, (0.25, 0.5, 0.75, 1.0))
         assert curve.linearity_deviation() < 0.25
+
+    def test_band_mode_curve_is_the_gate_report_at_each_potential(self, capsys):
+        # The curve keeps the gate's a and V and replaces only U, in the
+        # library and behind report flux --U-grid --V alike.
+        a, V, us = 0.9, 0.25, (0.5, 1.0, 2.0)
+        want = [flux_report(GateN4(a=a, U=u, V=V), RHO, 3.0).total for u in us]
+        curve = flux_curve(GateN4(a=a, U=1.0, V=V), RHO, 3.0, us)
+        assert curve.potentials == us
+        assert list(curve.fluxes) == want
+        argv = ["report", "flux", "--a", "0.9", "--U", "1", "--V", "0.25", "--kF", "3",
+                "--U-grid", "0.5,1,2"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["curve"] == [list(p) for p in zip(us, want)]
 
     def test_linearity_deviation_of_a_zero_curve(self):
         assert FluxCurve((0.5, 1.0), (0.0, 0.0)).linearity_deviation() == 0.0

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -29,6 +30,7 @@ from qstar import (
     make_delta,
     smatrix,
 )
+import qstar.assembly
 from qstar.assembly import MAGNETIC, V5_DELTA, _open_block_distance
 from qstar.numerics import PIVOT_FLOOR, solve_linear
 
@@ -176,6 +178,22 @@ class TestRecipeFromCoupling:
     def test_filter_variants_build_the_same_graph(self):
         f = FilterN3(a=0.83, b=2.4, U=1.3)
         assert build_recipe(f, 0.01, MAGNETIC) == build_recipe(f, 0.01, V5_DELTA)
+
+    def test_assembly_does_not_import_devices(self):
+        # A recipe reads only the target's coupling block and potentials, so
+        # the chain layer sits below the device layer, not beside it.
+        tree = ast.parse(Path(qstar.assembly.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                names.add(base)
+                names.update(f"{base}{'.' if node.module else ''}{alias.name}"
+                             for alias in node.names)
+            elif isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+        assert ".vertex" in names  # the walk sees the module's imports
+        assert not names & {".devices", "qstar.devices"}
 
 
 class TestBuildRecipe:

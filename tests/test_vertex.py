@@ -130,6 +130,15 @@ class TestValidate:
     def test_free_delta_is_scale_invariant(self):
         assert validate(make_delta(3, 0.0)).scale_invariant
 
+    @pytest.mark.parametrize("bc", [
+        make_st_form(3, 1, [[1.0, 2.0]]),                           # full rank
+        BoundaryCondition(2, np.zeros((2, 2)), [[1.0, 0.0], [0.0, 0.0]]),  # rank 1
+    ], ids=["full_rank", "rank_deficient"])
+    def test_flags_are_python_bools(self, bc):
+        diag = validate(bc)
+        flags = (diag.full_rank, diag.self_adjoint, diag.scale_invariant)
+        assert [type(flag) for flag in flags] == [bool] * 3
+
     def test_singular_solve_reported_not_scale_invariant(self, monkeypatch):
         def singular(bc, ch):
             raise SingularMatrixError("pivot below floor")
@@ -197,10 +206,6 @@ class TestJson:
         data = json.loads(bc_to_json(make_st_form(2, 1, [[2.0]])))
         assert data["n"] == 2
         assert data["B"][0][1] == [2.0, 0.0]
-
-    def test_malformed_shape_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            bc_from_json('{"n": 2, "A": [[[0,0]]], "B": [[[1,0]]]}')
 
     @pytest.mark.parametrize("data", [
         {"A": [], "B": []},                                # no "n"
