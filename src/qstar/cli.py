@@ -81,7 +81,7 @@ def _engine_columns(solve, grid: np.ndarray, lines: list[int], incoming: int) ->
     rows = np.array(lines)
     cols = np.empty((len(grid), len(lines)))
     for m, k in enumerate(grid.tolist()):
-        cols[m] = scattering.probabilities(solve(k))[:, incoming][rows]
+        cols[m] = scattering.probabilities(solve(k))[rows, incoming]
     return cols.T
 
 
@@ -103,10 +103,11 @@ def _sweep_columns(device, grid: np.ndarray):
 
 def _csv_table(header: list[str], columns) -> str:
     """CSV text of a header row and float columns of equal length: each
-    column formatted in bulk to 17 significant digits, rows ending in CRLF,
-    the bytes of the csv module's default dialect for these cells."""
-    cells = [map("{:.17g}".format, c.tolist()) for c in columns]
-    return "".join(",".join(row) + "\r\n" for row in (header, *zip(*cells)))
+    row filled from one template of 17-significant-digit cells, rows ending
+    in CRLF, the bytes of the csv module's default dialect for these cells."""
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    return ",".join(header) + "\r\n" + "".join(
+        row % cells for cells in zip(*(c.tolist() for c in columns)))
 
 
 def _write_text(path: str | None, text: str) -> None:

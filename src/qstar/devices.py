@@ -282,8 +282,12 @@ class MomentumDistribution:
 
     @classmethod
     def tabulated(cls, ks, values) -> "MomentumDistribution":
-        ks = np.asarray(ks, dtype=np.float64)
-        vals = np.asarray(values, dtype=np.float64)
+        """Density linear between the knots ``ks`` and constant beyond
+        them. Both tables are copied, so a later change to the caller's
+        arrays changes neither the density nor the knots. The copies stay
+        writeable: ``np.interp`` copies a read-only table on every call."""
+        ks = np.array(ks, dtype=np.float64)
+        vals = np.array(values, dtype=np.float64)
         if ks.ndim != 1 or ks.shape != vals.shape or ks.size < 2:
             raise ValueError("need matching 1-D momentum/density tables")
         if not (np.isfinite(ks).all() and np.isfinite(vals).all()):

@@ -6,6 +6,7 @@ square-root cusps at them; and bracketed root finding.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable
 
@@ -39,6 +40,15 @@ QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The read-only complex identity of order n that :func:`solve_linear`
+    joins to its right-hand side; the last 64 orders used are kept."""
+    eye = np.eye(n, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
+
+
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for square complex ``a``.
 
@@ -69,18 +79,22 @@ def solve_linear(a, b) -> np.ndarray:
         raise DimensionMismatchError(
             f"right-hand side shape {b.shape} incompatible with {a.shape}"
         )
-    if not np.isfinite(a).all():
+    # max|a| is nan or inf wherever an entry is not finite, so only then is
+    # the exact test needed. A finite a whose |a_ij| overflows passes it,
+    # and its estimate, inf, refuses it below.
+    a_max = float(np.abs(a).max())
+    if not math.isfinite(a_max) and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side entries must be finite")
     n, r = b.shape
     limit = math.sqrt(n) / PIVOT_FLOOR
     try:
-        xy = np.linalg.solve(a, np.concatenate((b, np.eye(n)), axis=1))
+        xy = np.linalg.solve(a, np.concatenate((b, _identity(n)), axis=1))
     except np.linalg.LinAlgError:
         estimate = math.inf
     else:
-        estimate = float(np.abs(a).max()) * float(np.abs(xy[:, r:]).max()) * (n * n)
+        estimate = a_max * float(np.abs(xy[:, r:]).max()) * (n * n)
     if not estimate < limit:  # also a nan estimate
         raise SingularMatrixError(
             f"condition estimate {estimate:.3e} at or above {limit:.3e}",

@@ -64,7 +64,7 @@ class ChannelSet:
     def __post_init__(self):
         if self.n < 2:
             raise DimensionMismatchError(f"need n >= 2 lines, got {self.n}")
-        pots = tuple(float(u) for u in self.potentials)
+        pots = tuple(map(float, self.potentials))
         if len(pots) != self.n:
             raise DimensionMismatchError(
                 f"expected {self.n} potentials, got {len(pots)}"
@@ -80,13 +80,13 @@ class ChannelSet:
     @classmethod
     def at_momentum(cls, potentials, k: float) -> "ChannelSet":
         """Channels at reference momentum k (:func:`momentum_energy`)."""
-        pots = tuple(float(u) for u in potentials)
+        pots = tuple(potentials)
         return cls(len(pots), pots, momentum_energy(k))
 
     def momenta(self) -> np.ndarray:
         """Complex momenta k_i = sqrt(E - U_i), principal branch."""
-        u = np.array(self.potentials, dtype=np.float64)
-        return np.sqrt(np.asarray(self.energy - u, dtype=np.complex128))
+        # E - U_i is rounded as a real difference; its imaginary part is +0.
+        return np.sqrt(np.subtract(self.energy, self.potentials, dtype=np.complex128))
 
     def open_mask(self) -> np.ndarray:
         return self.energy > np.array(self.potentials)
@@ -128,8 +128,10 @@ def smatrix(bc: BoundaryCondition, ch: ChannelSet) -> ScatteringMatrix:
         )
     k = ch.momenta()
     sqrt_k = np.sqrt(k)
+    lhs = bc.B * (1j * k)
+    lhs += bc.A
     try:
-        s = solve_linear(bc.A + bc.B * (1j * k), bc.B * (2j * sqrt_k))
+        s = solve_linear(lhs, bc.B * (2j * sqrt_k))
     except SingularMatrixError as exc:
         raise SingularSystemError(ch.energy, exc) from exc
     s *= sqrt_k[:, None]

@@ -375,6 +375,13 @@ class TestMomentumDistribution:
         dist = MomentumDistribution.tabulated([0.0, 1.0], [0.0, 2.0])
         assert dist.density(0.5) == pytest.approx(1.0)
 
+    def test_tabulated_copies_its_tables(self):
+        ks, vals = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0])
+        dist = MomentumDistribution.tabulated(ks, vals)
+        ks[1], vals[1] = 1.5, -5.0
+        assert dist.density(1.0) == 2.0
+        assert dist.knots == (0.0, 1.0, 2.0)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             MomentumDistribution.constant(-1.0)

@@ -115,6 +115,27 @@ class TestSolveLinear:
         with pytest.raises(ValueError, match="matrix entries"):
             solve_linear(a, [np.nan, 1.0])
 
+    @pytest.mark.parametrize("bad", [-np.inf, complex(np.inf, np.nan), complex(0.0, np.nan)])
+    def test_nonfinite_matrix_entry_rejected(self, bad):
+        # max|a| is inf or nan here, which sends a to the exact test.
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="matrix entries"):
+            solve_linear(a, np.ones(3))
+
+    def test_nonfinite_rhs_with_finite_matrix_rejected(self):
+        b = np.ones((2, 2), dtype=complex)
+        b[1, 0] = np.nan
+        with pytest.raises(ValueError, match="right-hand side entries"):
+            solve_linear(np.eye(2), b)
+
+    def test_finite_matrix_of_overflowing_modulus_is_refused(self):
+        # |1e308 + 1e308j| is finite, but max|a| * max|a^-1| * n^2 is not.
+        a = np.array([[1e308 + 1e308j, 0.0], [0.0, 1.0]])
+        with pytest.raises(SingularMatrixError) as info:
+            solve_linear(a, np.ones(2))
+        assert info.value.estimate == np.inf
+
     def test_operands_unchanged(self):
         # Elimination works on copies: the caller's a and b survive, for a
         # vector and for a matrix right-hand side, and complex128 inputs

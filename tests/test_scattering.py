@@ -286,6 +286,22 @@ class TestChannelSet:
         assert k[2] == pytest.approx(1j * np.sqrt(0.75), abs=1e-15)
         assert list(ch.open_mask()) == [True, True, False]
 
+    def test_momenta_bits_match_the_real_difference(self):
+        # Oracle: E - U_i rounded in float64, then made complex (+0j).
+        rng = rng_for("channel-momenta-bits")
+        for _ in range(200):
+            n = int(rng.integers(2, 17))
+            pots = tuple(rng.uniform(-3.0, 5.0, size=n).tolist())
+            on_threshold = float(rng.uniform(1e-3, 5.0))  # E == U_j
+            pots = pots[:-1] + (on_threshold,)
+            for energy in (float(rng.uniform(1e-3, 6.0)), on_threshold):
+                ch = ChannelSet(n, pots, energy)
+                u = np.array(pots, dtype=np.float64)
+                want = np.sqrt(np.asarray(energy - u, dtype=np.complex128))
+                got = ch.momenta()
+                assert got.dtype == np.complex128
+                assert got.tobytes() == want.tobytes()
+
     def test_validation(self):
         with pytest.raises(Exception):
             ChannelSet(1, (0.0,), 1.0)
@@ -316,6 +332,33 @@ class TestChannelSet:
     def test_nonpositive_energy_rejected_at_construction(self, energy):
         with pytest.raises(ValueError, match=f"energy must be positive, got {energy!r}"):
             ChannelSet(2, (0.0, 0.0), energy)
+
+
+def _smatrix_oracle(bc, ch):
+    """S by the module formula, written as plain numpy expressions: the
+    momenta from the float64 differences E - U_i, A + i B K in one
+    expression, and one LAPACK solve of [b | I]."""
+    n = bc.n
+    k = np.sqrt(np.asarray(ch.energy - np.array(ch.potentials), dtype=np.complex128))
+    sqrt_k = np.sqrt(k)
+    b = bc.B * (2j * sqrt_k)
+    xy = np.linalg.solve(bc.A + bc.B * (1j * k), np.concatenate((b, np.eye(n)), axis=1))
+    s = np.ascontiguousarray(xy[:, :n])
+    s *= sqrt_k[:, None]
+    s.flat[:: n + 1] -= 1.0
+    return s
+
+
+class TestSmatrixBits:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_st_and_delta_couplings_match_the_oracle(self, n):
+        rng = rng_for(f"smatrix-bits-{n}")
+        for _ in range(6):
+            m = int(rng.integers(1, n))
+            t = rng.normal(size=(m, n - m)) + 1j * rng.normal(size=(m, n - m))
+            for bc in (make_st_form(n, m, t), make_delta(n, float(rng.normal()))):
+                ch = random_channels(rng, n)
+                assert smatrix(bc, ch).S.tobytes() == _smatrix_oracle(bc, ch).tobytes()
 
 
 class TestScatteringMatrixRecord:
